@@ -13,7 +13,12 @@
 ///     (rule 3 of Def. 7, consistent mutability).
 ///  2. For every write edge u -W-> v and every potential alias u' of u,
 ///     another write or last edge from u' forces u's family persistent
-///     (rule 1, no double write/reproduction).
+///     (rule 1, no double write/reproduction). So does u' being an
+///     output: outputs are read after the whole calculation section,
+///     where no translation order can place them before the write. So
+///     does a last of the family whose source may stay silent when v
+///     fires (ev'(v) -> ev'(source) not a tautology, §IV-C): the last
+///     would reproduce the written structure at the next timestamp.
 ///  3. A read edge u' -R-> v' from an alias records the read-before-write
 ///     constraint (v', v) (rule 2).
 ///  4. Minimum-weight removal: find the cheapest set of families (weight =

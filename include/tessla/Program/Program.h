@@ -126,7 +126,75 @@ struct ProgramStep {
   StreamId FusedId = 0;
   /// True when ConstantFold rewrote this step (printing/statistics).
   bool Folded = false;
+
+  // --- Ownership plan: derived by Program::planOwnership() from the
+  // tables above, never serialized. ---
+  /// In-place aggregate updates this step runs, as a mask: InPlaceOuter
+  /// for Impl's first argument (the consumer half of fused steps),
+  /// InPlaceInner for a FusedLiftLift's producer. Engines count each
+  /// firing update as a hit (destructive tier) or a miss (path copy).
+  uint8_t InPlaceUpdates = 0;
+  /// Handles the engine drops right before the outer update (for
+  /// FusedLiftLift: after the producer ran, once the consumer is known
+  /// to fire): Program::releases()[ReleaseBegin, ReleaseBegin +
+  /// NumReleases).
+  uint16_t NumReleases = 0;
+  uint32_t ReleaseBegin = 0;
 };
+
+/// ProgramStep::InPlaceUpdates bits.
+constexpr uint8_t InPlaceOuter = 1;
+constexpr uint8_t InPlaceInner = 2;
+
+/// One lane-internal handle on an in-place family's payload that an
+/// update drops before it runs, so that the payload's wrapper is unique
+/// unless a holder outside the lane (a fork or snapshot, a handler-held
+/// output, a checkpoint) shares it.
+struct HandleRelease {
+  enum class Kind : uint8_t {
+    /// Value slot Slot: no later step, output, last refresh or delay
+    /// reads it in this timestamp.
+    Value,
+    /// Last slot Slot: no later step reads it, and the end-of-timestamp
+    /// refresh rewrites it whenever the update fires (the mutability
+    /// analysis keeps no family in place where it might not).
+    Last,
+  };
+  Kind K;
+  SlotId Slot;
+};
+
+/// One lane's in-place update counters: updates that took the
+/// destructive tier (hits) and that path-copied around another holder
+/// of the payload (misses).
+struct InPlaceCounts {
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+  /// Counts an update whose argument held payload \p Arg as a hit when
+  /// its result \p After kept that payload.
+  void count(const void *Arg, const Value &After) {
+    ++(After.aggregateIdentity() == Arg ? Hits : Misses);
+  }
+};
+
+/// Runs \p Step's outer in-place update over \p Args for one engine lane
+/// and counts it in \p Counts. First drops the lane handles the ownership
+/// plan proves dead; \p Handle maps each HandleRelease of \p Releases
+/// (Program::releases()) to the lane's value or last slot.
+template <typename HandleFn>
+Value runInPlaceUpdate(const std::vector<HandleRelease> &Releases,
+                       const ProgramStep &Step, const Value *const *Args,
+                       EvalError &Err, InPlaceCounts &Counts,
+                       HandleFn &&Handle) {
+  const HandleRelease *R = Releases.data() + Step.ReleaseBegin;
+  for (const HandleRelease *E = R + Step.NumReleases; R != E; ++R)
+    Handle(*R) = Value();
+  Value Result = Step.Impl(Args, Step.InPlace, Err);
+  // The argument still holds its payload: the same one iff in place.
+  if (!Err.Failed)
+    Counts.count(Args[0]->aggregateIdentity(), Result);
+  return Result;
+}
 
 /// One *_last slot: the most recent value of Source, updated at the end
 /// of every timestamp where Source fired.
@@ -188,6 +256,18 @@ public:
   /// Number of steps executing destructive aggregate updates (stats).
   uint32_t inPlaceStepCount() const;
 
+  /// The release table indexed by ProgramStep::ReleaseBegin.
+  const std::vector<HandleRelease> &releases() const { return Releases; }
+
+  /// Recomputes the ownership plan (the ProgramStep::InPlaceUpdates and
+  /// release fields plus releases()) from the step and slot tables: for
+  /// every in-place update, the translation order proves which of the
+  /// lane's other handles on the family's payload are dead from that
+  /// step on. Program::compile, the pass manager and
+  /// the bundle loader call it; anything else that rewrites the tables
+  /// through optView() must call it before the program runs.
+  void planOwnership();
+
   /// Renders the lowered program, one step per line with its slot
   /// assignment and in-place/folded/fused markers, followed by the
   /// last/delay/output slot tables — the single human-readable form of
@@ -224,6 +304,7 @@ private:
   std::vector<SlotId> ValueSlots; // indexed by StreamId
   std::vector<bool> Mutable;      // indexed by StreamId
   SlotId NumValueSlots = 0;
+  std::vector<HandleRelease> Releases; // derived: planOwnership()
 };
 
 } // namespace tessla

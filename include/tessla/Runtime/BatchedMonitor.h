@@ -138,6 +138,12 @@ public:
   uint64_t laneOutputEvents(unsigned Lane) const override {
     return NumOutputs[Lane];
   }
+  uint64_t laneInPlaceHits(unsigned Lane) const override {
+    return InPlaceStats[Lane].Hits;
+  }
+  uint64_t laneInPlaceMisses(unsigned Lane) const override {
+    return InPlaceStats[Lane].Misses;
+  }
   /// True when the lane has no unconsumed buffered records (always true
   /// after pump(); donation only migrates idle lanes).
   bool laneIdle(unsigned Lane) const override {
@@ -200,6 +206,7 @@ private:
   std::vector<uint64_t> NumFed;
   std::vector<uint64_t> NumOutputs;
   std::vector<uint64_t> NumCalcRuns;
+  std::vector<InPlaceCounts> InPlaceStats;
   std::vector<std::vector<PendingRecord>> Queue;
   std::vector<size_t> QueuePos;
   std::vector<std::vector<SlotId>> Touched;
@@ -223,6 +230,16 @@ private:
   bool prepareLane(uint32_t Lane);
   std::optional<Time> minNextDelay(uint32_t Lane) const;
   void sweep();
+  /// Monitor::updateInPlace for lane \p Lane.
+  Value updateInPlace(const ProgramStep &Step, uint32_t Lane,
+                      const Value *const *Args, EvalError &Err) {
+    return runInPlaceUpdate(
+        Prog.releases(), Step, Args, Err, InPlaceStats[Lane],
+        [this, Lane](const HandleRelease &R) -> Value & {
+          size_t I = idx(R.Slot, Lane);
+          return R.K == HandleRelease::Kind::Value ? Cur[I] : LastVal[I];
+        });
+  }
   void failLaneAt(uint32_t Lane, Time Ts, StreamId Id,
                   const std::string &Message);
   void failLane(uint32_t Lane, std::string Message);

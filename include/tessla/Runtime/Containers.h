@@ -21,10 +21,19 @@
 ///    wrapper (sharing the whole node tree) and every update path-copies
 ///    the O(log32 n) spine, leaving all sharers untouched.
 ///
+/// Ownership: an in-place update owns its family's payload. Before it
+/// runs, the engine drops the lane's own other handles on the payload
+/// that the translation order proves dead (Program::planOwnership), so
+/// the uniqueness test here only has to detect holders outside the lane
+/// — forks and snapshots, handler-held outputs, checkpoints — which keep
+/// their version through the path copy.
+///
 /// The static InPlace verdict is required — dynamic uniqueness alone is
 /// unsound because a program can re-read a slot after deriving two values
 /// from it (s2 = setAdd(s1, x); s3 = setAdd(s1, y)): at the first update
-/// the s1 wrapper is uniquely owned, yet s1 must survive.
+/// the s1 wrapper is uniquely owned, yet s1 must survive. For handles
+/// inside one lane the verdict is trusted as in the paper's generated
+/// code: a wrong verdict can change observable values there.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -192,7 +201,8 @@ private:
 /// O(1) per operation in its persistent form, so both tiers use the
 /// persistent ops; the handle still distinguishes wrapper reuse so the
 /// in-place verdict keeps handle identity (and skips a wrapper
-/// allocation).
+/// allocation). That is all the destructive tier saves here: a queue
+/// update costs about the same at 100 % in-place hits as persistently.
 class QueueCow {
 public:
   explicit QueueCow(std::shared_ptr<QueueData> D) : D(std::move(D)) {}

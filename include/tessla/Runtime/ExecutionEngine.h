@@ -83,6 +83,9 @@ struct EngineLaneState {
   uint64_t NumFed = 0;
   uint64_t NumOutputs = 0;
   uint64_t NumCalcRuns = 0;
+  // In-place update counters. Migration carries them; snapshots (forks)
+  // and checkpoints do not, so those lanes count from zero.
+  InPlaceCounts InPlace;
   std::vector<Value> Cur;      // [numValueSlots()+1]
   std::vector<char> Present;   // [numValueSlots()+1]
   std::vector<Value> LastVal;  // [lastSlots()]
@@ -149,6 +152,11 @@ public:
   /// Accepted input records (the fleet's steal heuristic).
   virtual uint64_t laneInputEvents(unsigned Lane) const = 0;
   virtual uint64_t laneOutputEvents(unsigned Lane) const = 0;
+  /// In-place aggregate updates of the lane that took the destructive
+  /// tier (hits) and that path-copied around a sharer (misses). Engines
+  /// outside the Value representation (native) report none.
+  virtual uint64_t laneInPlaceHits(unsigned) const { return 0; }
+  virtual uint64_t laneInPlaceMisses(unsigned) const { return 0; }
   /// True when the lane has no unconsumed buffered records.
   virtual bool laneIdle(unsigned Lane) const = 0;
   /// Moves out the lane's recorded outputs (emission order).

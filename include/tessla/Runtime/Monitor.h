@@ -93,6 +93,15 @@ public:
   /// uses this as the "hot session" signal.
   uint64_t inputEvents() const { return NumFed; }
 
+  /// In-place aggregate updates (steps whose family the mutability
+  /// analysis made mutable) that took the destructive tier so far.
+  uint64_t inPlaceHits() const { return InPlaceStats.Hits; }
+  /// In-place updates that path-copied instead, because something else
+  /// shared the payload: a holder outside the lane (a fork or snapshot,
+  /// a handler-held output), or a lane handle the ownership plan could
+  /// not prove dead.
+  uint64_t inPlaceMisses() const { return InPlaceStats.Misses; }
+
   /// Moves the monitor's complete engine state into a migratable lane
   /// snapshot (the fleet's engine-agnostic migration contract,
   /// Runtime/ExecutionEngine.h). Fills only the fields the monitor owns
@@ -146,8 +155,19 @@ private:
   uint64_t NumCalcRuns = 0;
   uint64_t NumOutputs = 0;
   uint64_t NumFed = 0;
+  InPlaceCounts InPlaceStats;
 
   void setValue(SlotId Slot, Value V);
+  /// Runs \p Step's outer in-place update over \p Args: drops the
+  /// handles its ownership plan proves dead and counts the hit or miss.
+  Value updateInPlace(const ProgramStep &Step, const Value *const *Args) {
+    return runInPlaceUpdate(
+        Prog.releases(), Step, Args, Err, InPlaceStats,
+        [this](const HandleRelease &R) -> Value & {
+          return R.K == HandleRelease::Kind::Value ? Cur[R.Slot]
+                                                   : LastVal[R.Slot];
+        });
+  }
   void runCalc(Time Ts);
   /// Runs the pending timestamp's calculation and all delay firings
   /// strictly before \p T.

@@ -223,6 +223,9 @@ struct ShardStats {
   uint64_t AggregateNodesShared = 0; ///< aggregate nodes with >1 owner
                                      ///< (structural sharing from COW
                                      ///< updates and session forks)
+  uint64_t InPlaceHits = 0;   ///< in-place updates that mutated destructively
+  uint64_t InPlaceMisses = 0; ///< in-place updates that path-copied around
+                              ///< a sharer (Monitor::inPlaceMisses)
   std::string Engine;            ///< final engine ("per-session", "batched",
                                  ///< "native"); Auto shards show their verdict
 
@@ -242,6 +245,8 @@ struct FleetStats {
   uint64_t totalSessions() const;
   uint64_t totalFailedSessions() const;
   uint64_t totalSessionsStolen() const;
+  uint64_t totalInPlaceHits() const;
+  uint64_t totalInPlaceMisses() const;
 
   /// Renders the per-shard table plus totals.
   std::string str() const;

@@ -101,15 +101,30 @@ public:
   /// handle mutates the payload destructively (the paper's in-place
   /// regime); otherwise it starts from an O(1) wrapper copy that shares
   /// the node tree and every update path-copies — all other sharers are
-  /// unaffected. Precondition: matching kind().
+  /// unaffected. The engines release their own dead handles on an
+  /// in-place family's payload before the update (the ownership plan,
+  /// Program::planOwnership), so a shared handle here means a holder
+  /// outside the lane. Precondition: matching kind().
   SetCow setCow(bool InPlace) const;
   MapCow mapCow(bool InPlace) const;
   QueueCow queueCow(bool InPlace) const;
 
   /// The payload pointer of an aggregate (nullptr for scalars): stable
   /// identity for structural-sharing detection (serialization dedup,
-  /// equality fast paths, memory accounting).
-  const void *aggregateIdentity() const;
+  /// equality fast paths, memory accounting, the engines' in-place
+  /// hit/miss count on every update — hence inline).
+  const void *aggregateIdentity() const {
+    switch (kind()) {
+    case Kind::Set:
+      return std::get_if<std::shared_ptr<SetData>>(&V)->get();
+    case Kind::Map:
+      return std::get_if<std::shared_ptr<MapData>>(&V)->get();
+    case Kind::Queue:
+      return std::get_if<std::shared_ptr<QueueData>>(&V)->get();
+    default:
+      return nullptr;
+    }
+  }
 
   /// Memory-accounting walk: reports the payload wrapper and every
   /// persistent node of an aggregate as (pointer, resident bytes,

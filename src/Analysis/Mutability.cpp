@@ -159,7 +159,6 @@ MutabilityResult tessla::computeMutability(const UsageGraph &G,
                                            TriggerAnalysis &Triggers,
                                            AliasAnalysis &Aliases,
                                            const MutabilityOptions &Opts) {
-  (void)Triggers; // consumed indirectly through the alias analysis
   const Spec &S = G.spec();
   uint32_t N = G.numNodes();
 
@@ -192,7 +191,21 @@ MutabilityResult tessla::computeMutability(const UsageGraph &G,
     if (WriteEdge.Kind != EdgeKind::Write)
       continue;
     StreamId U = WriteEdge.From, V = WriteEdge.To;
+    // A last of the family keeps its source's value until the source
+    // fires again. Unless the source provably fires whenever the write
+    // does (ev'(v) -> ev'(source), §IV-C), the last may still hold the
+    // written structure at the next timestamp and read the update.
+    for (const UsageEdge &LastEdge : G.edges())
+      if (LastEdge.Kind == EdgeKind::Last &&
+          Families.find(LastEdge.From) == Families.find(V) &&
+          !Triggers.implies(V, LastEdge.From))
+        ForcedPersistent.insert(Families.find(U));
     for (StreamId UAlias : Aliases.potentialAliases(U)) {
+      // Outputs are read after the whole calculation section, so an
+      // output alias of the written value is a read no translation order
+      // can place before the write.
+      if (S.stream(UAlias).IsOutput)
+        ForcedPersistent.insert(Families.find(U));
       for (uint32_t EI : G.outEdges(UAlias)) {
         const UsageEdge &E = G.edge(EI);
         bool SameEdge = UAlias == U && E.To == V &&

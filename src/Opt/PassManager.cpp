@@ -42,6 +42,8 @@ bool PassManager::run(Program &P, AnalysisResult &A, DiagnosticEngine &Diags,
       return false;
     }
   }
+  // The passes rewrote the step and slot tables the plan derives from.
+  P.planOwnership();
   return true;
 }
 

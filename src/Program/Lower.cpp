@@ -125,5 +125,6 @@ Program Program::compile(const AnalysisResult &Analysis) {
     }
     P.Steps.push_back(std::move(Step));
   }
+  P.planOwnership();
   return P;
 }

@@ -668,6 +668,7 @@ ProgramSerializer::decode(const uint8_t *Data, size_t Size,
     Ctx.fail("bundle failed program verification");
     return std::nullopt;
   }
+  P.planOwnership(); // derived, so never part of the bundle
   return P;
 }
 

@@ -80,6 +80,7 @@ void BatchedMonitor::growLanes(size_t NewCap) {
   NumFed.resize(NewCap, 0);
   NumOutputs.resize(NewCap, 0);
   NumCalcRuns.resize(NewCap, 0);
+  InPlaceStats.resize(NewCap);
   Queue.resize(NewCap);
   QueuePos.resize(NewCap, 0);
   Touched.resize(NewCap);
@@ -107,6 +108,7 @@ unsigned BatchedMonitor::allocLane(SessionId Id) {
   RunTs[L] = 0;
   ErrMsg[L].clear();
   NumFed[L] = NumOutputs[L] = NumCalcRuns[L] = 0;
+  InPlaceStats[L] = {};
   Queue[L].clear();
   QueuePos[L] = 0;
   Touched[L].clear();
@@ -289,7 +291,9 @@ void BatchedMonitor::sweep() {
         if (!AllPresent)
           continue;
         EvalError Err;
-        Value Result = Step.Impl(Args, Step.InPlace, Err);
+        Value Result = Step.InPlaceUpdates
+                           ? updateInPlace(Step, L, Args, Err)
+                           : Step.Impl(Args, Step.InPlace, Err);
         if (Err.Failed) {
           failLaneAt(L, RunTs[L], Step.Id, Err.Message);
           continue;
@@ -331,7 +335,9 @@ void BatchedMonitor::sweep() {
         if (!AnyRest)
           continue;
         EvalError Err;
-        Value Result = Step.Impl(Args, Step.InPlace, Err);
+        Value Result = Step.InPlaceUpdates
+                           ? updateInPlace(Step, L, Args, Err)
+                           : Step.Impl(Args, Step.InPlace, Err);
         if (Err.Failed) {
           failLaneAt(L, RunTs[L], Step.Id, Err.Message);
           continue;
@@ -395,7 +401,9 @@ void BatchedMonitor::sweep() {
         if (!AllPresent)
           continue;
         EvalError Err;
-        Value Result = Step.Impl(Args, Step.InPlace, Err);
+        Value Result = Step.InPlaceUpdates
+                           ? updateInPlace(Step, L, Args, Err)
+                           : Step.Impl(Args, Step.InPlace, Err);
         if (Err.Failed) {
           failLaneAt(L, RunTs[L], Step.Id, Err.Message);
           continue;
@@ -431,6 +439,8 @@ void BatchedMonitor::sweep() {
           failLaneAt(L, RunTs[L], Step.FusedId, Err.Message);
           continue;
         }
+        if (Step.InPlaceUpdates & InPlaceInner)
+          InPlaceStats[L].count(Inner[0]->aggregateIdentity(), Tmp);
         const Value *Args[3];
         Args[0] = &Tmp;
         bool AllPresent = true;
@@ -445,7 +455,9 @@ void BatchedMonitor::sweep() {
         if (!AllPresent)
           continue;
         EvalError Err2;
-        Value Result = Step.Impl(Args, Step.InPlace, Err2);
+        Value Result = (Step.InPlaceUpdates & InPlaceOuter)
+                           ? updateInPlace(Step, L, Args, Err2)
+                           : Step.Impl(Args, Step.InPlace, Err2);
         if (Err2.Failed) {
           failLaneAt(L, RunTs[L], Step.Id, Err2.Message);
           continue;
@@ -618,6 +630,7 @@ BatchedMonitor::LaneState BatchedMonitor::extractLane(unsigned Lane) {
   S.NumFed = NumFed[Lane];
   S.NumOutputs = NumOutputs[Lane];
   S.NumCalcRuns = NumCalcRuns[Lane];
+  S.InPlace = InPlaceStats[Lane];
   S.Cur.resize(NumSlots);
   S.Present.assign(NumSlots, 0);
   for (uint32_t Slot = 0; Slot != NumSlots; ++Slot) {
@@ -672,6 +685,7 @@ BatchedMonitor::LaneState BatchedMonitor::snapshotLane(unsigned Lane) const {
   S.NumFed = NumFed[Lane];
   S.NumOutputs = NumOutputs[Lane];
   S.NumCalcRuns = NumCalcRuns[Lane];
+  // In-place counters stay zero, as in Monitor::snapshotState.
   S.Cur.resize(NumSlots);
   S.Present.assign(NumSlots, 0);
   for (uint32_t Slot = 0; Slot != NumSlots; ++Slot) {
@@ -727,6 +741,7 @@ unsigned BatchedMonitor::insertLane(LaneState S) {
   NumFed[L] = S.NumFed;
   NumOutputs[L] = S.NumOutputs;
   NumCalcRuns[L] = S.NumCalcRuns;
+  InPlaceStats[L] = S.InPlace;
   assert(S.Cur.size() == NumSlots && "lane state is for another program");
   for (uint32_t Slot = 0; Slot != NumSlots; ++Slot) {
     size_t I = idx(Slot, L);

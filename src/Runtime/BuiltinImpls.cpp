@@ -244,13 +244,15 @@ Value evalSetToggle(const Value *const *Args, bool InPlace, EvalError &) {
 
 Value evalSetUpdate(const Value *const *Args, bool InPlace, EvalError &) {
   // Optional presence: Args[1] = value to add, Args[2] = value to
-  // remove; at least one is present (engine enforced).
-  Value Result = TESSLA_ARG(0);
+  // remove; at least one is present (engine enforced). One handle for
+  // both operations: a local copy of Args[0] would be a second holder,
+  // and the first operation would path-copy.
+  SetCow C = TESSLA_ARG(0).setCow(InPlace);
   if (Args[1])
-    Result = setWithInsert(Result, *Args[1], InPlace);
+    C.add(*Args[1]);
   if (Args[2])
-    Result = setWithErase(Result, *Args[2], InPlace);
-  return Result;
+    C.remove(*Args[2]);
+  return std::move(C).finish();
 }
 
 Value evalSetUnion(const Value *const *Args, bool InPlace, EvalError &) {

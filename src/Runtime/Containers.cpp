@@ -11,6 +11,8 @@
 
 #include "tessla/Runtime/Containers.h"
 
+#include <atomic>
+
 using namespace tessla;
 
 Value Value::emptySet() { return Value::set(std::make_shared<SetData>()); }
@@ -36,39 +38,37 @@ QueueView Value::asQueue() const {
 // exactly the in-place regime's contract. Node-level uniqueness is
 // checked separately inside the transient structure ops, so a wrapper
 // that was forked from another session still path-copies shared nodes.
+//
+// use_count() is a relaxed load. When it reads 1 because another thread
+// (a forked lane on another shard) just dropped its handle, the acquire
+// fence pairs with that release-decrement, so the other thread's reads
+// of the payload happen before this thread's in-place writes.
 
 SetCow Value::setCow(bool InPlace) const {
   const auto &H = std::get<std::shared_ptr<SetData>>(V);
-  if (InPlace && H.use_count() == 1)
+  if (InPlace && H.use_count() == 1) {
+    std::atomic_thread_fence(std::memory_order_acquire);
     return SetCow(H);
+  }
   return SetCow(std::make_shared<SetData>(*H));
 }
 
 MapCow Value::mapCow(bool InPlace) const {
   const auto &H = std::get<std::shared_ptr<MapData>>(V);
-  if (InPlace && H.use_count() == 1)
+  if (InPlace && H.use_count() == 1) {
+    std::atomic_thread_fence(std::memory_order_acquire);
     return MapCow(H);
+  }
   return MapCow(std::make_shared<MapData>(*H));
 }
 
 QueueCow Value::queueCow(bool InPlace) const {
   const auto &H = std::get<std::shared_ptr<QueueData>>(V);
-  if (InPlace && H.use_count() == 1)
+  if (InPlace && H.use_count() == 1) {
+    std::atomic_thread_fence(std::memory_order_acquire);
     return QueueCow(H);
-  return QueueCow(std::make_shared<QueueData>(*H));
-}
-
-const void *Value::aggregateIdentity() const {
-  switch (kind()) {
-  case Kind::Set:
-    return std::get<std::shared_ptr<SetData>>(V).get();
-  case Kind::Map:
-    return std::get<std::shared_ptr<MapData>>(V).get();
-  case Kind::Queue:
-    return std::get<std::shared_ptr<QueueData>>(V).get();
-  default:
-    return nullptr;
   }
+  return QueueCow(std::make_shared<QueueData>(*H));
 }
 
 void Value::forEachAggregateNode(

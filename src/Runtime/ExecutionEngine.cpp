@@ -136,6 +136,12 @@ public:
   uint64_t laneOutputEvents(unsigned Lane) const override {
     return Lanes[Lane].M->outputEvents();
   }
+  uint64_t laneInPlaceHits(unsigned Lane) const override {
+    return Lanes[Lane].M->inPlaceHits();
+  }
+  uint64_t laneInPlaceMisses(unsigned Lane) const override {
+    return Lanes[Lane].M->inPlaceMisses();
+  }
   bool laneIdle(unsigned) const override { return true; }
 
   std::vector<OutputEvent> takeLaneOutputs(unsigned Lane) override {

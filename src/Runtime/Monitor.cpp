@@ -87,7 +87,9 @@ void Monitor::runCalc(Time Ts) {
       }
       if (!AllPresent)
         break;
-      Value Result = Step.Impl(Args, Step.InPlace, Err);
+      Value Result = Step.InPlaceUpdates
+                         ? updateInPlace(Step, Args)
+                         : Step.Impl(Args, Step.InPlace, Err);
       if (Err.Failed) {
         failAt(Ts, Step.Id, Err.Message);
         return;
@@ -116,7 +118,9 @@ void Monitor::runCalc(Time Ts) {
         }
       if (!AnyRest)
         break;
-      Value Result = Step.Impl(Args, Step.InPlace, Err);
+      Value Result = Step.InPlaceUpdates
+                         ? updateInPlace(Step, Args)
+                         : Step.Impl(Args, Step.InPlace, Err);
       if (Err.Failed) {
         failAt(Ts, Step.Id, Err.Message);
         return;
@@ -161,7 +165,9 @@ void Monitor::runCalc(Time Ts) {
       }
       if (!AllPresent)
         break;
-      Value Result = Step.Impl(Args, Step.InPlace, Err);
+      Value Result = Step.InPlaceUpdates
+                         ? updateInPlace(Step, Args)
+                         : Step.Impl(Args, Step.InPlace, Err);
       if (Err.Failed) {
         failAt(Ts, Step.Id, Err.Message);
         return;
@@ -191,6 +197,8 @@ void Monitor::runCalc(Time Ts) {
         failAt(Ts, Step.FusedId, Err.Message);
         return;
       }
+      if (Step.InPlaceUpdates & InPlaceInner)
+        InPlaceStats.count(Inner[0]->aggregateIdentity(), Tmp);
       const Value *Args[3];
       Args[0] = &Tmp;
       bool AllPresent = true;
@@ -203,7 +211,9 @@ void Monitor::runCalc(Time Ts) {
       }
       if (!AllPresent)
         break;
-      Value Result = Step.Impl(Args, Step.InPlace, Err);
+      Value Result = (Step.InPlaceUpdates & InPlaceOuter)
+                         ? updateInPlace(Step, Args)
+                         : Step.Impl(Args, Step.InPlace, Err);
       if (Err.Failed) {
         failAt(Ts, Step.Id, Err.Message);
         return;
@@ -330,6 +340,7 @@ void Monitor::extractState(EngineLaneState &Out) {
   Out.NumFed = NumFed;
   Out.NumOutputs = NumOutputs;
   Out.NumCalcRuns = NumCalcRuns;
+  Out.InPlace = InPlaceStats;
   Out.Cur = std::move(Cur);
   Out.Present = std::move(Present);
   Out.LastVal = std::move(LastVal);
@@ -346,6 +357,8 @@ void Monitor::snapshotState(EngineLaneState &Out) const {
   Out.NumFed = NumFed;
   Out.NumOutputs = NumOutputs;
   Out.NumCalcRuns = NumCalcRuns;
+  // In-place counters stay zero: they count this lane's updates, and a
+  // snapshot has run none yet.
   Out.Cur = Cur; // O(1) per slot: aggregate handles share structure
   Out.Present = Present;
   Out.LastVal = LastVal;
@@ -372,6 +385,7 @@ void Monitor::restoreState(EngineLaneState &State) {
   NumFed = State.NumFed;
   NumOutputs = State.NumOutputs;
   NumCalcRuns = State.NumCalcRuns;
+  InPlaceStats = State.InPlace;
   Cur = std::move(State.Cur);
   Present = std::move(State.Present);
   LastVal = std::move(State.LastVal);

@@ -612,6 +612,8 @@ void MonitorFleet::Shard::run(MonitorFleet &F) {
       if (Engine->laneFailed(LR.Lane))
         ++Stats.FailedSessions;
       Stats.OutputsEmitted += Engine->laneOutputEvents(LR.Lane);
+      Stats.InPlaceHits += Engine->laneInPlaceHits(LR.Lane);
+      Stats.InPlaceMisses += Engine->laneInPlaceMisses(LR.Lane);
       Suspended.push_back(Engine->extractLane(LR.Lane));
     }
     Stats.Sessions = LaneOf.size();
@@ -636,6 +638,8 @@ void MonitorFleet::Shard::run(MonitorFleet &F) {
       SS.Outputs = std::make_unique<std::vector<OutputEvent>>(
           Engine->takeLaneOutputs(LR.Lane));
     Stats.OutputsEmitted += Engine->laneOutputEvents(LR.Lane);
+    Stats.InPlaceHits += Engine->laneInPlaceHits(LR.Lane);
+    Stats.InPlaceMisses += Engine->laneInPlaceMisses(LR.Lane);
     Sessions.emplace(Id, std::move(SS));
   }
   Stats.Sessions = LaneOf.size();
@@ -1055,6 +1059,20 @@ uint64_t FleetStats::totalSessionsStolen() const {
   return N;
 }
 
+uint64_t FleetStats::totalInPlaceHits() const {
+  uint64_t N = 0;
+  for (const ShardStats &S : Shards)
+    N += S.InPlaceHits;
+  return N;
+}
+
+uint64_t FleetStats::totalInPlaceMisses() const {
+  uint64_t N = 0;
+  for (const ShardStats &S : Shards)
+    N += S.InPlaceMisses;
+  return N;
+}
+
 std::string ShardStats::str() const {
   // Stable key=value rendering: one format for `tessla-run --stats`,
   // FleetStats::str() and the service stats frame. Keys are append-only.
@@ -1063,7 +1081,8 @@ std::string ShardStats::str() const {
       "queue-high-water=%llu outputs=%llu failed=%llu "
       "stolen-in=%llu stolen-out=%llu forwarded=%llu sweeps=%llu "
       "backpressure-stalls=%llu forked-in=%llu agg-bytes=%llu "
-      "agg-nodes-unique=%llu agg-nodes-shared=%llu",
+      "agg-nodes-unique=%llu agg-nodes-shared=%llu inplace-hits=%llu "
+      "inplace-misses=%llu",
       Engine.empty() ? "?" : Engine.c_str(),
       static_cast<unsigned long long>(Sessions),
       static_cast<unsigned long long>(EventsProcessed),
@@ -1079,7 +1098,9 @@ std::string ShardStats::str() const {
       static_cast<unsigned long long>(SessionsForkedIn),
       static_cast<unsigned long long>(AggregateBytes),
       static_cast<unsigned long long>(AggregateNodesUnique),
-      static_cast<unsigned long long>(AggregateNodesShared));
+      static_cast<unsigned long long>(AggregateNodesShared),
+      static_cast<unsigned long long>(InPlaceHits),
+      static_cast<unsigned long long>(InPlaceMisses));
 }
 
 std::string FleetStats::str() const {

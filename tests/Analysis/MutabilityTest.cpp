@@ -282,3 +282,65 @@ TEST(MutabilityTest, WrittenHoldPatternConservativelyPersistent) {
   EXPECT_FALSE(isMutable(A, "h")) << A.report();
   EXPECT_FALSE(isMutable(A, "y")) << A.report();
 }
+
+TEST(MutabilityTest, OutputAliasOfAWrittenValueForcesPersistence) {
+  // Outputs are emitted after the whole calculation section, so an
+  // output that may carry the value an in-place write consumes would
+  // observe the update: no translation order can read it first.
+  Spec S = parseOrDie(R"(
+    in x: Int
+    def prev := last(merge(y, setEmpty()), x)
+    def y := setAdd(prev, x)
+    out prev
+  )");
+  AnalysisResult A = analyzeSpec(S);
+  EXPECT_FALSE(isMutable(A, "prev"));
+  EXPECT_FALSE(isMutable(A, "y"));
+  bool DoubleWrite = false;
+  for (auto [Rep, Reason] : A.mutability().PersistentFamilies)
+    DoubleWrite |= Reason == PersistentReason::DoubleWrite;
+  EXPECT_TRUE(DoubleWrite);
+
+  // Outputting the write's result is fine: it is emitted before the next
+  // timestamp's update consumes it.
+  Spec T = parseOrDie(R"(
+    in x: Int
+    def prev := last(merge(y, setEmpty()), x)
+    def y := setAdd(prev, x)
+    out y
+  )");
+  AnalysisResult B = analyzeSpec(T);
+  EXPECT_TRUE(isMutable(B, "prev"));
+  EXPECT_TRUE(isMutable(B, "y"));
+}
+
+TEST(MutabilityTest, FilterGatedLastRefreshForcesPersistence) {
+  // Nothing aliases prev, yet the family's last is refreshed only when
+  // the filter passes y. An in-place y would leave the updated set in
+  // the last slot whenever the filter drops it, and the next prev would
+  // read it: ev'(y) -> ev'(merge(f, setEmpty())) is no tautology, so the
+  // family stays persistent.
+  Spec S = parseOrDie(R"(
+    in x: Int
+    def prev := last(merge(f, setEmpty()), x)
+    def y := setAdd(prev, x)
+    def f := filter(y, x > 5)
+    def n := setSize(prev)
+    out n
+  )");
+  AnalysisResult A = analyzeSpec(S);
+  EXPECT_FALSE(isMutable(A, "prev")) << A.mutability().report(S);
+  EXPECT_FALSE(isMutable(A, "y"));
+  EXPECT_FALSE(isMutable(A, "f"));
+  bool DoubleWrite = false;
+  for (auto [Rep, Reason] : A.mutability().PersistentFamilies)
+    DoubleWrite |= Reason == PersistentReason::DoubleWrite;
+  EXPECT_TRUE(DoubleWrite);
+
+  // Queue Window refreshes its last through queueTrim's held bound
+  // merge(c, last(c, qenq)), which fires with every write: in place.
+  Spec Q = queueWindow(4);
+  AnalysisResult B = analyzeSpec(Q);
+  EXPECT_TRUE(isMutable(B, "qpre")) << B.mutability().report(Q);
+  EXPECT_TRUE(isMutable(B, "q"));
+}

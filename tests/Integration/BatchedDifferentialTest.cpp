@@ -178,17 +178,17 @@ interleave(const Spec &S, const std::vector<SessionId> &Sessions,
 bool checkOneConfig(uint64_t Seed, const Spec &S,
                     const std::vector<CorpusRecord> &Records,
                     Config Cfg, const char *TestBinary,
-                    uint64_t *StealsOut, uint32_t *MutableOut,
+                    uint64_t *StealsOut, uint64_t *HitsOut,
                     size_t *OutputBytes) {
   Program Plan = compileOrDie(S, Cfg.Optimize, Cfg.OptLevel);
-  if (MutableOut)
-    *MutableOut += mutableStreamCount(Plan);
   std::string Reference = sequentialReference(Plan, Records);
   FleetStats Stats;
   std::string Batched = fleetRun(Plan, Records, FleetMode::Batched, &Stats);
   std::string PerSession = fleetRun(Plan, Records, FleetMode::PerSession);
   if (StealsOut)
     *StealsOut += Stats.totalSessionsStolen();
+  if (HitsOut)
+    *HitsOut += Stats.totalInPlaceHits();
   if (OutputBytes)
     *OutputBytes += Reference.size();
   if (Batched == Reference && PerSession == Reference)
@@ -223,13 +223,13 @@ bool checkOneConfig(uint64_t Seed, const Spec &S,
 // The headline property: >= 50 random specs (queue ops always on, delay
 // streams on every third seed) x both mutability modes x -O0/-O1, under
 // forced lane migration. Guards vacuity three ways: outputs nonempty,
-// steals actually happened, and the mutability optimization actually
-// fired somewhere in the corpus.
+// steals actually happened, and in-place updates of the batched engine
+// actually took the destructive tier somewhere in the corpus.
 TEST(BatchedDifferentialTest, CorpusByteIdenticalUnderMigration) {
   const uint64_t Seed0 = corpusSeed();
   const size_t NumSpecs = corpusSpecs(50);
   uint64_t Steals = 0;
-  uint32_t TotalMutable = 0;
+  uint64_t TotalHits = 0;
   size_t OutputBytes = 0;
   for (uint64_t Seed = Seed0; Seed != Seed0 + NumSpecs; ++Seed) {
     RandomSpecOptions Opts;
@@ -249,14 +249,15 @@ TEST(BatchedDifferentialTest, CorpusByteIdenticalUnderMigration) {
     for (Config Cfg : Configs)
       if (!checkOneConfig(Seed, S, Records, Cfg,
                           "integration_batched_differential_test",
-                          &Steals, &TotalMutable, &OutputBytes))
+                          &Steals, &TotalHits, &OutputBytes))
         return; // one shrunken repro beats 50 raw failures
   }
   EXPECT_GT(OutputBytes, 0u) << "vacuous comparison";
   EXPECT_GT(Steals, 0u)
       << "no lane was ever migrated; the migration axis is vacuous";
-  EXPECT_GT(TotalMutable, 0u)
-      << "optimization never kicked in; the mutability axis is vacuous";
+  EXPECT_GT(TotalHits, 0u)
+      << "no batched in-place update took the destructive tier; the "
+         "mutability axis is vacuous";
 }
 
 // The three-way tentpole property: >= 50 random specs x -O0/-O1, each

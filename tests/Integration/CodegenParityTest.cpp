@@ -199,9 +199,19 @@ TEST(CodegenParityTest, OptimizedRandomDelaySpecs) {
 TEST(CodegenParityTest, OptimizedWorkloads) {
   // The Fig. 9 workloads hit all three fused/folded opcode families in
   // the emitter (ConstTick on mapWindow/queueWindow, FusedLastLift and
-  // FusedLiftLift on all three).
+  // FusedLiftLift on all three). The fourth spec refreshes its family's
+  // last only when the filter passes the update; whenever it drops one,
+  // every tier must still read the set from before it.
   uint64_t Seed = 400;
-  for (const Spec &S : {seenSet(), mapWindow(4), queueWindow(4)}) {
+  for (const Spec &S : {seenSet(), mapWindow(4), queueWindow(4),
+                        parseOrDie(R"(
+                          in x: Int
+                          def prev := last(merge(f, setEmpty()), x)
+                          def y := setAdd(prev, x)
+                          def f := filter(y, x > 5)
+                          def n := setSize(prev)
+                          out n
+                        )")}) {
     auto Events =
         tracegen::randomInts(*S.lookup("x"), 400, 13, ++Seed);
     expectParity(Seed, S, /*Optimize=*/true, Events, /*OptLevel=*/1);

@@ -26,28 +26,40 @@ using namespace tessla::testspecs;
 
 namespace {
 
+/// Runs \p Events through a monitor of \p S and renders its outputs;
+/// \p InPlaceHits receives the in-place updates that took the
+/// destructive tier — the dynamic proof that the regime under test ran.
 std::string runWith(const Spec &S, const std::vector<TraceEvent> &Events,
-                    bool Optimize, uint32_t *MutableCount = nullptr) {
-  Program Plan = compileOrDie(S, Optimize);
-  if (MutableCount)
-    *MutableCount = mutableStreamCount(Plan);
-  std::string Error;
-  auto Out = runMonitor(Plan, Events, std::nullopt, &Error);
-  EXPECT_EQ(Error, "");
+                    bool Optimize, uint64_t *InPlaceHits = nullptr,
+                    unsigned OptLevel = 0) {
+  Program Plan = compileOrDie(S, Optimize, OptLevel);
+  Monitor M(Plan);
+  std::vector<OutputEvent> Out;
+  M.setOutputHandler([&Out](Time Ts, StreamId Id, const Value &V) {
+    Out.push_back({Ts, Id, V});
+  });
+  for (const auto &[Id, Ts, V] : Events)
+    if (!M.feed(Id, Ts, V))
+      break;
+  M.finish();
+  EXPECT_EQ(M.failed() ? M.errorMessage() : "", "");
+  if (InPlaceHits)
+    *InPlaceHits = M.inPlaceHits();
   return formatOutputs(Plan.spec(), Out);
 }
 
 void expectDifferentialEqual(const Spec &S,
                              const std::vector<TraceEvent> &Events,
-                             bool ExpectInPlace = true) {
-  uint32_t MutableCount = 0;
-  std::string Optimized = runWith(S, Events, true, &MutableCount);
+                             bool ExpectInPlace = true,
+                             unsigned OptLevel = 0) {
+  uint64_t Hits = 0;
+  std::string Optimized = runWith(S, Events, true, &Hits, OptLevel);
   std::string Baseline = runWith(S, Events, false);
   EXPECT_EQ(Optimized, Baseline);
   EXPECT_FALSE(Optimized.empty()) << "vacuous comparison";
   if (ExpectInPlace) {
-    EXPECT_GT(MutableCount, 0u)
-        << "optimization did not kick in; test is vacuous";
+    EXPECT_GT(Hits, 0u)
+        << "no in-place update took the destructive tier; test is vacuous";
   }
 }
 
@@ -151,22 +163,23 @@ TEST(DifferentialTest, SpectrumCalculation) {
 // determinism suite and the semantics oracle's delay-free subset).
 
 TEST(DifferentialTest, RandomSpecsAgree) {
-  uint32_t TotalMutable = 0;
+  uint64_t TotalHits = 0;
   for (uint64_t Seed = 1; Seed <= 25; ++Seed) {
     Spec S = testrandom::randomSpec(Seed);
     auto Events = testrandom::randomSpecTrace(S, 600, Seed * 977);
-    uint32_t MutableCount = 0;
-    std::string Optimized = runWith(S, Events, true, &MutableCount);
+    uint64_t Hits = 0;
+    std::string Optimized = runWith(S, Events, true, &Hits);
     std::string Baseline = runWith(S, Events, false);
     EXPECT_EQ(Optimized, Baseline) << "seed " << Seed << "\n" << S.str();
     EXPECT_FALSE(Optimized.empty())
         << "vacuous comparison at seed " << Seed;
-    TotalMutable += MutableCount;
+    TotalHits += Hits;
   }
-  // Not every seed must trigger the optimization, but the batch as a
+  // Not every seed must run an in-place update, but the batch as a
   // whole must — otherwise all 25 comparisons are trivially vacuous.
-  EXPECT_GT(TotalMutable, 0u)
-      << "optimization never kicked in; the property is vacuous";
+  EXPECT_GT(TotalHits, 0u)
+      << "no in-place update ever took the destructive tier; the property "
+         "is vacuous";
 }
 
 TEST(DifferentialTest, RandomSpecsWithDelayAgree) {
@@ -175,20 +188,21 @@ TEST(DifferentialTest, RandomSpecsWithDelayAgree) {
   // aggregate representation.
   testrandom::RandomSpecOptions Opts;
   Opts.WithDelay = true;
-  uint32_t TotalMutable = 0;
+  uint64_t TotalHits = 0;
   for (uint64_t Seed = 1; Seed <= 15; ++Seed) {
     Spec S = testrandom::randomSpec(Seed, Opts);
     auto Events = testrandom::randomSpecTrace(S, 400, Seed * 1313);
-    uint32_t MutableCount = 0;
-    std::string Optimized = runWith(S, Events, true, &MutableCount);
+    uint64_t Hits = 0;
+    std::string Optimized = runWith(S, Events, true, &Hits);
     std::string Baseline = runWith(S, Events, false);
     EXPECT_EQ(Optimized, Baseline) << "seed " << Seed << "\n" << S.str();
     EXPECT_FALSE(Optimized.empty())
         << "vacuous comparison at seed " << Seed;
-    TotalMutable += MutableCount;
+    TotalHits += Hits;
   }
-  EXPECT_GT(TotalMutable, 0u)
-      << "optimization never kicked in; the property is vacuous";
+  EXPECT_GT(TotalHits, 0u)
+      << "no in-place update ever took the destructive tier; the property "
+         "is vacuous";
 }
 
 TEST(DifferentialTest, WholeAggregateOutputsAgree) {
@@ -208,4 +222,28 @@ TEST(DifferentialTest, WholeAggregateOutputsAgree) {
   )");
   expectDifferentialEqual(
       S, tracegen::randomInts(*S.lookup("x"), 500, 25, 13));
+}
+
+TEST(DifferentialTest, FilterGatedRefreshKeepsTheOldValue) {
+  // The family's last is refreshed only when the filter passes the
+  // update. Whenever it drops one, the next `last` must still read the
+  // set from before, also with the last fused into the update at -O1.
+  Spec S = parseOrDie(R"(
+    in x: Int
+    def prev := last(merge(f, setEmpty()), x)
+    def y := setAdd(prev, x)
+    def f := filter(y, x > 5)
+    def n := setSize(prev)
+    out n
+  )");
+  StreamId X = *S.lookup("x");
+  std::vector<TraceEvent> Dropped = {{X, 1, Value::integer(1)},
+                                     {X, 2, Value::integer(2)}};
+  EXPECT_EQ(runWith(S, Dropped, false), "1: n = 0\n2: n = 0\n");
+  for (unsigned Level : {0u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "-O" << Level);
+    expectDifferentialEqual(S, Dropped, /*ExpectInPlace=*/false, Level);
+    expectDifferentialEqual(S, tracegen::randomInts(X, 400, 10, 14),
+                            /*ExpectInPlace=*/false, Level);
+  }
 }

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// The session-fork headline property: forking a live session at a
-/// mid-stream point and feeding the identical tail to both lanes is
-/// byte-identical to two independent sessions fed the full trace — the
-/// forked lane carries the head's recorded outputs and the O(1)
+/// mid-stream point and feeding each lane its own tail is byte-identical
+/// to two independent sessions fed the shared head plus their own tail —
+/// the forked lane carries the head's recorded outputs and the O(1)
 /// structure-shared aggregate state, and the copy-on-write
 /// representation keeps the two lanes from observing each other's later
 /// updates. Proven differentially over a randomized corpus (queue and
@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #if defined(__SANITIZE_THREAD__)
@@ -129,15 +130,29 @@ interleave(const Spec &S, const std::vector<SessionId> &Sessions,
   return Out;
 }
 
+/// What the forked runs of the corpus did, for the vacuity guards.
+struct RunCounters {
+  uint64_t Steals = 0;
+  uint64_t InPlaceHits = 0;
+};
+
+/// The value the fork destination receives where the source's tail
+/// record carries \p V. Different on purpose: with identical tails, a
+/// destructive update leaking through a shared payload can hide behind
+/// the other lane applying the very same update.
+Value destinationValue(const Value &V) {
+  return V.kind() == Value::Kind::Int ? Value::integer(V.getInt() + 1) : V;
+}
+
 /// The forked run: feed the first \p SplitAt records, close the
 /// producer, fork \p Src into \p Dst, then feed the tail — with every
-/// tail record of \p Src duplicated to \p Dst. \returns the rendered
-/// outputs, or nullopt (with a test failure recorded) on any stage
-/// error.
+/// tail record of \p Src duplicated to \p Dst (destinationValue()).
+/// \returns the rendered outputs, or nullopt (with a test failure
+/// recorded) on any stage error.
 std::optional<std::string>
 forkedRun(const Program &Plan, FleetMode Mode,
           const std::vector<CorpusRecord> &Records, size_t SplitAt,
-          SessionId Src, SessionId Dst, uint64_t *StealsOut) {
+          SessionId Src, SessionId Dst, RunCounters &Counters) {
   MonitorFleet Fleet(Plan, hostileOptions(Mode));
   EXPECT_EQ(Fleet.mode(), Mode);
   {
@@ -162,7 +177,7 @@ forkedRun(const Program &Plan, FleetMode Mode,
       StreamId Id = *Plan.spec().lookup(R.Input);
       EXPECT_TRUE(P.feed(R.Session, Id, R.Ts, R.V));
       if (R.Session == Src) {
-        EXPECT_TRUE(P.feed(Dst, Id, R.Ts, R.V));
+        EXPECT_TRUE(P.feed(Dst, Id, R.Ts, destinationValue(R.V)));
       }
     }
     P.close();
@@ -171,8 +186,8 @@ forkedRun(const Program &Plan, FleetMode Mode,
   EXPECT_FALSE(Fleet.failed())
       << (Fleet.errors().empty() ? std::string()
                                  : Fleet.errors().front().Message);
-  if (StealsOut)
-    *StealsOut += Fleet.stats().totalSessionsStolen();
+  Counters.Steals += Fleet.stats().totalSessionsStolen();
+  Counters.InPlaceHits += Fleet.stats().totalInPlaceHits();
   std::string Out;
   for (const SessionOutputEvent &E : Fleet.takeOutputs())
     Out += renderLine(Plan.spec(), E.Session, E.Event);
@@ -185,12 +200,13 @@ forkedRun(const Program &Plan, FleetMode Mode,
 // -O0/-O1 x {per-session, batched}, each forked at a mid-stream point;
 // the forked run must be byte-identical to the sequential reference in
 // which the fork destination is an independent session fed the source's
-// full trace. Guards vacuity: outputs nonempty, steals happened on the
-// hostile shape.
+// head and its own tail. Guards vacuity: outputs nonempty, steals
+// happened on the hostile shape, and in-place updates took the
+// destructive tier next to the forked lanes' sharing.
 TEST(ForkDifferentialTest, ForkEqualsReplayAcrossEnginesAndOptLevels) {
   const uint64_t Seed0 = corpusSeed();
   const size_t NumSpecs = corpusSpecs(12);
-  uint64_t Steals = 0;
+  RunCounters Counters;
   size_t OutputBytes = 0;
   for (uint64_t Seed = Seed0; Seed != Seed0 + NumSpecs; ++Seed) {
     RandomSpecOptions Opts;
@@ -209,23 +225,37 @@ TEST(ForkDifferentialTest, ForkEqualsReplayAcrossEnginesAndOptLevels) {
     std::vector<CorpusRecord> Records =
         interleave(S, Sessions, Traces, Seed * 31 + 7);
 
-    // Cut at a seed-dependent point strictly inside the trace, so the
-    // corpus sweeps early, middle and late forks.
-    size_t SplitAt = 1 + (Seed * 2654435761u) % (Records.size() - 1);
+    // Cut at a seed-dependent point after the source's first record
+    // (before it the source is not live, and forkSession rightly
+    // refuses) and at or before its last one (so both lanes get a tail
+    // of their own), so the corpus sweeps early, middle and late forks.
+    size_t FirstSrc = Records.size(), LastSrc = 0;
+    for (size_t I = 0; I != Records.size(); ++I)
+      if (Records[I].Session == Src) {
+        FirstSrc = std::min(FirstSrc, I);
+        LastSrc = I;
+      }
+    if (FirstSrc >= LastSrc)
+      continue; // fewer than two source records: no cut leaves a tail
+    size_t SplitAt =
+        FirstSrc + 1 + (Seed * 2654435761u) % (LastSrc - FirstSrc);
 
     // The reference trace set: both live sessions in full, plus the
-    // fork destination as an independent replay of the source.
+    // fork destination as an independent session fed the source's head
+    // and its own tail.
     std::vector<CorpusRecord> WithDst = Records;
-    for (const CorpusRecord &R : Records)
-      if (R.Session == Src)
-        WithDst.push_back({Dst, R.Input, R.Ts, R.V});
+    for (size_t I = 0; I != Records.size(); ++I)
+      if (Records[I].Session == Src)
+        WithDst.push_back({Dst, Records[I].Input, Records[I].Ts,
+                           I < SplitAt ? Records[I].V
+                                       : destinationValue(Records[I].V)});
 
     for (Config Cfg : {Config{Seed % 2 == 0, 0}, Config{Seed % 2 == 0, 1}})
       for (FleetMode Mode : {FleetMode::PerSession, FleetMode::Batched}) {
         Program Plan = compileOrDie(S, Cfg.Optimize, Cfg.OptLevel);
         std::string Reference = sequentialReference(Plan, WithDst);
         auto Forked =
-            forkedRun(Plan, Mode, Records, SplitAt, Src, Dst, &Steals);
+            forkedRun(Plan, Mode, Records, SplitAt, Src, Dst, Counters);
         if (!Forked)
           return;
         if (*Forked != Reference) {
@@ -244,8 +274,79 @@ TEST(ForkDifferentialTest, ForkEqualsReplayAcrossEnginesAndOptLevels) {
       }
   }
   EXPECT_GT(OutputBytes, 0u) << "vacuous comparison";
-  EXPECT_GT(Steals, 0u)
+  EXPECT_GT(Counters.Steals, 0u)
       << "no lane was ever migrated; the migration axis is vacuous";
+  EXPECT_GT(Counters.InPlaceHits, 0u)
+      << "no in-place update took the destructive tier; the sharing the "
+         "forks create was never put to the test";
+}
+
+// Sharers path-copy: after a fork, source and destination hold one
+// payload, so whichever of them updates it first must path-copy (a
+// miss), which leaves both owning their own wrapper again. The two
+// lanes may sit on different shards and update concurrently, so both
+// can miss once, never more. Without the fork the same run has no miss
+// at all. Each session's outputs must match an independent replay of
+// its own trace.
+TEST(ForkDifferentialTest, ForkedSessionsPathCopyAroundEachOther) {
+  Spec S = seenSet();
+  StreamId X = *S.lookup("x");
+  std::vector<CorpusRecord> Records;
+  for (Time T = 1; T != 60; ++T)
+    Records.push_back({1, "x", T, Value::integer(T % 7)});
+  for (Time T = 1; T != 60; ++T)
+    Records.push_back({2, "x", T, Value::integer(T < 30 ? T % 7 : T % 5)});
+  for (unsigned Level : {0u, 1u})
+    for (FleetMode Mode : {FleetMode::PerSession, FleetMode::Batched})
+      for (bool Fork : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "-O" << Level << ", "
+                     << (Mode == FleetMode::Batched ? "batched"
+                                                    : "per-session")
+                     << (Fork ? ", forked" : ", not forked"));
+        Program Plan = compileOrDie(S, true, Level);
+        MonitorFleet Fleet(Plan, hostileOptions(Mode));
+        {
+          ProducerHandle P = Fleet.producer();
+          for (Time T = 1; T != 30; ++T)
+            EXPECT_TRUE(P.feed(1, X, T, Value::integer(T % 7)));
+          P.close();
+        }
+        std::string Err;
+        if (Fork) {
+          ASSERT_TRUE(Fleet.forkSession(1, 2, &Err)) << Err;
+        }
+        {
+          ProducerHandle P = Fleet.producer();
+          for (Time T = 30; T != 60; ++T) {
+            EXPECT_TRUE(P.feed(1, X, T, Value::integer(T % 7)));
+            if (Fork) {
+              EXPECT_TRUE(P.feed(2, X, T, Value::integer(T % 5)));
+            }
+          }
+          P.close();
+        }
+        Fleet.finish();
+        ASSERT_FALSE(Fleet.failed());
+        std::string Out;
+        for (const SessionOutputEvent &E : Fleet.takeOutputs())
+          Out += renderLine(Plan.spec(), E.Session, E.Event);
+        std::vector<CorpusRecord> Expected(Records.begin(),
+                                           Records.begin() + (Fork ? 118
+                                                                   : 59));
+        EXPECT_EQ(Out, sequentialReference(Plan, Expected));
+        const FleetStats &Stats = Fleet.stats();
+        if (Fork) {
+          EXPECT_GE(Stats.totalInPlaceMisses(), 1u);
+          EXPECT_LE(Stats.totalInPlaceMisses(), 2u);
+        } else {
+          EXPECT_EQ(Stats.totalInPlaceMisses(), 0u);
+        }
+        // 59 updates of the source; the forked session runs the
+        // source's pending timestamp 29 and its own 30.
+        EXPECT_EQ(Stats.totalInPlaceHits() + Stats.totalInPlaceMisses(),
+                  Fork ? 90u : 59u);
+      }
 }
 
 // The native tier refuses to fork: compiled lanes are not migratable,

@@ -316,6 +316,13 @@ TEST(MonitorFleetTest, AutoEngineSwitchOverIsDeterministic) {
     EXPECT_FALSE(Fleet.failed());
     FleetStats Stats = Fleet.stats();
     EXPECT_EQ(Stats.Shards.size(), 1u);
+    // Every toggle owned its session's set, and the per-lane counters
+    // survive the mid-run engine migration.
+    EXPECT_EQ(Stats.totalInPlaceHits(), 320u);
+    EXPECT_EQ(Stats.totalInPlaceMisses(), 0u);
+    EXPECT_NE(Stats.Shards[0].str().find("inplace-hits=320 inplace-misses=0"),
+              std::string::npos)
+        << Stats.Shards[0].str();
     std::map<SessionId, std::vector<std::string>> Lines;
     for (const SessionOutputEvent &E : Fleet.takeOutputs())
       Lines[E.Session].push_back(renderLine(C.Plan.spec(), E.Session, E.Event));
