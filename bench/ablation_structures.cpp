@@ -162,9 +162,10 @@ BENCHMARK(BM_StdSetContains)->Arg(10)->Arg(200)->Arg(10000);
 
 // --- refcounting ablation (DESIGN.md decision 4) ---------------------------
 //
-// Persistent nodes use non-atomic intrusive refcounting instead of
-// std::shared_ptr; this pair quantifies the decision on the hottest
-// pattern (spine sharing in cons lists, as in the banker's queue).
+// Persistent nodes use intrusive refcounting (atomic, since forked
+// sessions share spines across shard threads) instead of std::shared_ptr;
+// this pair quantifies the decision on the hottest pattern (spine
+// sharing in cons lists, as in the banker's queue).
 
 void BM_RefCntPtrListCons(benchmark::State &State) {
   for (auto _ : State) {

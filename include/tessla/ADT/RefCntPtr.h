@@ -99,6 +99,14 @@ public:
     Ptr = nullptr;
   }
 
+  /// Gives up this reference without releasing it: the caller now owns
+  /// one count on the returned object. Leaves this pointer null.
+  T *detach() {
+    T *P = Ptr;
+    Ptr = nullptr;
+    return P;
+  }
+
   friend bool operator==(const RefCntPtr &A, const RefCntPtr &B) {
     return A.Ptr == B.Ptr;
   }

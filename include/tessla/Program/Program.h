@@ -41,6 +41,8 @@
 #include "tessla/Runtime/BuiltinImpls.h"
 #include "tessla/Runtime/Value.h"
 
+#include <memory>
+
 namespace tessla {
 
 class AnalysisResult;

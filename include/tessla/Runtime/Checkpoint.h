@@ -96,7 +96,15 @@ std::optional<FleetCheckpoint> loadCheckpoint(
     const std::vector<uint8_t> &Bytes, const Program &P,
     DiagnosticEngine &Diags);
 
-/// File convenience wrappers ("fleet.tcp" in/out).
+/// Writes serialized checkpoint bytes to \p Path crash-safely: the bytes
+/// go to a temporary file next to \p Path, which is fsynced and renamed
+/// over it. On failure the temporary is removed, any previous file at
+/// \p Path is left byte-for-byte intact, and a "tcp:" error naming the
+/// failed step is reported through \p Diags.
+bool writeCheckpointFile(const std::vector<uint8_t> &Bytes,
+                         const std::string &Path, DiagnosticEngine &Diags);
+/// File convenience wrappers ("fleet.tcp" in/out); the writer serializes
+/// \p C and calls the one above.
 bool writeCheckpointFile(const FleetCheckpoint &C, const std::string &Path,
                          DiagnosticEngine &Diags);
 std::optional<FleetCheckpoint> loadCheckpointFile(const std::string &Path,

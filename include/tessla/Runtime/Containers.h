@@ -21,6 +21,16 @@
 ///    wrapper (sharing the whole node tree) and every update path-copies
 ///    the O(log32 n) spine, leaving all sharers untouched.
 ///
+/// Counting: every payload carries the intrusive ValuePayload header
+/// (Value.h) — one atomic count shared by all Value handles on it — and
+/// a COW handle holds one more count through RefCntPtr. "Uniquely
+/// owned" is useCount() == 1, an acquire load: a sharer on another
+/// thread (a forked lane on another shard) that dropped its handle with
+/// the count's release-decrement has its reads of the payload ordered
+/// before the destructive writes. Retains are relaxed, so that load is
+/// the only edge; ValueTest.InPlaceUpdateAfterCrossThreadRelease keeps
+/// it under TSan.
+///
 /// Ownership: an in-place update owns its family's payload. Before it
 /// runs, the engine drops the lane's own other handles on the payload
 /// that the translation order proves dead (Program::planOwnership), so
@@ -44,14 +54,13 @@
 #include "tessla/Persistent/Queue.h"
 #include "tessla/Runtime/Value.h"
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 namespace tessla {
 
 /// Set payload: a persistent HAMT of elements.
-struct SetData {
+struct SetData final : ValuePayload {
   HamtSet<Value, ValueHash> Elems;
 
   size_t size() const { return Elems.size(); }
@@ -61,7 +70,7 @@ struct SetData {
 };
 
 /// Map payload: a persistent HAMT of entries.
-struct MapData {
+struct MapData final : ValuePayload {
   HamtMap<Value, Value, ValueHash> Entries;
 
   size_t size() const { return Entries.size(); }
@@ -74,7 +83,7 @@ struct MapData {
 };
 
 /// FIFO queue payload: a persistent two-list queue.
-struct QueueData {
+struct QueueData final : ValuePayload {
   PQueue<Value> Elems;
 
   size_t size() const { return Elems.size(); }
@@ -163,7 +172,7 @@ private:
 /// std::move(handle).finish().
 class SetCow {
 public:
-  explicit SetCow(std::shared_ptr<SetData> D) : D(std::move(D)) {}
+  explicit SetCow(RefCntPtr<SetData> D) : D(std::move(D)) {}
 
   void add(Value V) { D->Elems.insertMut(std::move(V)); }
   /// Returns true when the element was present.
@@ -175,13 +184,13 @@ public:
   Value finish() && { return Value::set(std::move(D)); }
 
 private:
-  std::shared_ptr<SetData> D;
+  RefCntPtr<SetData> D;
 };
 
 /// Single-use mutation handle for a map.
 class MapCow {
 public:
-  explicit MapCow(std::shared_ptr<MapData> D) : D(std::move(D)) {}
+  explicit MapCow(RefCntPtr<MapData> D) : D(std::move(D)) {}
 
   void put(Value Key, Value Val) {
     D->Entries.setMut(std::move(Key), std::move(Val));
@@ -194,7 +203,7 @@ public:
   Value finish() && { return Value::map(std::move(D)); }
 
 private:
-  std::shared_ptr<MapData> D;
+  RefCntPtr<MapData> D;
 };
 
 /// Single-use mutation handle for a queue. The banker's queue is already
@@ -205,7 +214,7 @@ private:
 /// update costs about the same at 100 % in-place hits as persistently.
 class QueueCow {
 public:
-  explicit QueueCow(std::shared_ptr<QueueData> D) : D(std::move(D)) {}
+  explicit QueueCow(RefCntPtr<QueueData> D) : D(std::move(D)) {}
 
   void enqueue(Value V) { D->Elems = D->Elems.enqueue(std::move(V)); }
   /// Drops the oldest element. Precondition: !empty().
@@ -217,8 +226,36 @@ public:
   Value finish() && { return Value::queue(std::move(D)); }
 
 private:
-  std::shared_ptr<QueueData> D;
+  RefCntPtr<QueueData> D;
 };
+
+// --- Value's aggregate accessors (declared in Value.h) --------------------
+
+inline Value Value::set(RefCntPtr<SetData> D) {
+  return Value(Kind::Set, {.P = D.detach()});
+}
+inline Value Value::map(RefCntPtr<MapData> D) {
+  return Value(Kind::Map, {.P = D.detach()});
+}
+inline Value Value::queue(RefCntPtr<QueueData> D) {
+  return Value(Kind::Queue, {.P = D.detach()});
+}
+
+inline SetView Value::asSet() const {
+  if (K != Kind::Set)
+    kindMismatch(Kind::Set);
+  return SetView(static_cast<const SetData *>(W.P));
+}
+inline MapView Value::asMap() const {
+  if (K != Kind::Map)
+    kindMismatch(Kind::Map);
+  return MapView(static_cast<const MapData *>(W.P));
+}
+inline QueueView Value::asQueue() const {
+  if (K != Kind::Queue)
+    kindMismatch(Kind::Queue);
+  return QueueView(static_cast<const QueueData *>(W.P));
+}
 
 } // namespace tessla
 

@@ -16,8 +16,12 @@
 #include "tessla/Runtime/MonitorFleet.h"
 #include "tessla/Support/Format.h"
 
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fcntl.h>
+#include <unistd.h>
 
 using namespace tessla;
 using bc::ByteReader;
@@ -335,20 +339,90 @@ tessla::loadCheckpoint(const std::vector<uint8_t> &Bytes, const Program &P,
   return loadCheckpoint(Bytes.data(), Bytes.size(), P, Diags);
 }
 
+namespace {
+
+/// write(2) until done, retrying partial writes and EINTR.
+bool writeAll(int Fd, const uint8_t *Data, size_t Size) {
+  while (Size != 0) {
+    ssize_t N = ::write(Fd, Data, Size);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    Data += N;
+    Size -= static_cast<size_t>(N);
+  }
+  return true;
+}
+
+/// fsyncs the directory holding \p Path so a completed rename survives a
+/// crash. Best effort: the rename has already replaced the file.
+void syncParentDir(const std::string &Path) {
+  std::string::size_type Slash = Path.rfind('/');
+  std::string Dir = Slash == std::string::npos  ? std::string(".")
+                    : Slash == 0                ? std::string("/")
+                                                : Path.substr(0, Slash);
+  int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (Fd < 0)
+    return;
+  (void)::fsync(Fd);
+  ::close(Fd);
+}
+
+} // namespace
+
+bool tessla::writeCheckpointFile(const std::vector<uint8_t> &Bytes,
+                                 const std::string &Path,
+                                 DiagnosticEngine &Diags) {
+  // The temporary lives next to the target so the rename stays within
+  // one file system; O_EXCL keeps concurrent writers off each other's
+  // temporaries, and the creation mode lets the umask apply as for any
+  // newly created file.
+  static std::atomic<unsigned> Counter{0};
+  std::string Tmp;
+  int Fd = -1;
+  for (unsigned Attempt = 0; Fd < 0 && Attempt != 16; ++Attempt) {
+    Tmp = formatString("%s.tmp.%ld.%u", Path.c_str(),
+                       static_cast<long>(::getpid()), Counter++);
+    Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (Fd < 0 && errno != EEXIST)
+      break;
+  }
+  if (Fd < 0) {
+    Diags.error("tcp: cannot create a temporary file next to '" + Path +
+                "': " + std::strerror(errno));
+    return false;
+  }
+  const char *Failed = nullptr;
+  if (!writeAll(Fd, Bytes.data(), Bytes.size()))
+    Failed = "write";
+  else if (::fsync(Fd) != 0)
+    Failed = "fsync";
+  int Err = errno;
+  if (::close(Fd) != 0 && !Failed) {
+    Failed = "close";
+    Err = errno;
+  }
+  if (!Failed && ::rename(Tmp.c_str(), Path.c_str()) != 0) {
+    Failed = "rename";
+    Err = errno;
+  }
+  if (Failed) {
+    ::unlink(Tmp.c_str());
+    Diags.error(formatString("tcp: %s of '%s' failed: %s; the previous "
+                             "file is unchanged",
+                             Failed, Path.c_str(), std::strerror(Err)));
+    return false;
+  }
+  syncParentDir(Path);
+  return true;
+}
+
 bool tessla::writeCheckpointFile(const FleetCheckpoint &C,
                                  const std::string &Path,
                                  DiagnosticEngine &Diags) {
-  std::vector<uint8_t> Bytes = serializeCheckpoint(C);
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    Diags.error("tcp: cannot open '" + Path + "' for writing");
-    return false;
-  }
-  size_t Written = std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  bool Ok = std::fclose(F) == 0 && Written == Bytes.size();
-  if (!Ok)
-    Diags.error("tcp: short write to '" + Path + "'");
-  return Ok;
+  return writeCheckpointFile(serializeCheckpoint(C), Path, Diags);
 }
 
 std::optional<FleetCheckpoint>

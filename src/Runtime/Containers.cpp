@@ -4,71 +4,54 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Value's aggregate surface: view and COW-handle constructors live here,
-// where the payload types are complete.
+// Value's aggregate surface: the empty-aggregate and COW-handle
+// constructors live here, where the payload types are complete.
 //
 //===----------------------------------------------------------------------===//
 
 #include "tessla/Runtime/Containers.h"
 
-#include <atomic>
-
 using namespace tessla;
 
-Value Value::emptySet() { return Value::set(std::make_shared<SetData>()); }
-Value Value::emptyMap() { return Value::map(std::make_shared<MapData>()); }
-Value Value::emptyQueue() {
-  return Value::queue(std::make_shared<QueueData>());
-}
+Value Value::emptySet() { return Value::set(makeRefCnt<SetData>()); }
+Value Value::emptyMap() { return Value::map(makeRefCnt<MapData>()); }
+Value Value::emptyQueue() { return Value::queue(makeRefCnt<QueueData>()); }
 
-SetView Value::asSet() const {
-  return SetView(std::get<std::shared_ptr<SetData>>(V).get());
-}
-MapView Value::asMap() const {
-  return MapView(std::get<std::shared_ptr<MapData>>(V).get());
-}
-QueueView Value::asQueue() const {
-  return QueueView(std::get<std::shared_ptr<QueueData>>(V).get());
-}
-
-// The uniqueness check must read the use count *before* copying the
-// handle into the COW wrapper (the copy itself would push it to 2).
+// The uniqueness check must read the count *before* the COW handle
+// retains the payload (that retain itself would push it to 2).
 // Wrapper-unique + InPlace selects the destructive tier: the handle
 // shares the wrapper, so the update is visible through this value —
 // exactly the in-place regime's contract. Node-level uniqueness is
 // checked separately inside the transient structure ops, so a wrapper
 // that was forked from another session still path-copies shared nodes.
-//
-// use_count() is a relaxed load. When it reads 1 because another thread
-// (a forked lane on another shard) just dropped its handle, the acquire
-// fence pairs with that release-decrement, so the other thread's reads
-// of the payload happen before this thread's in-place writes.
+// useCount() is an acquire load, the one edge that orders a sharer's
+// reads on another thread before the in-place writes (Containers.h).
 
 SetCow Value::setCow(bool InPlace) const {
-  const auto &H = std::get<std::shared_ptr<SetData>>(V);
-  if (InPlace && H.use_count() == 1) {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return SetCow(H);
-  }
-  return SetCow(std::make_shared<SetData>(*H));
+  if (K != Kind::Set)
+    kindMismatch(Kind::Set);
+  auto *D = static_cast<SetData *>(W.P);
+  if (InPlace && D->useCount() == 1)
+    return SetCow(RefCntPtr<SetData>(D));
+  return SetCow(makeRefCnt<SetData>(*D));
 }
 
 MapCow Value::mapCow(bool InPlace) const {
-  const auto &H = std::get<std::shared_ptr<MapData>>(V);
-  if (InPlace && H.use_count() == 1) {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return MapCow(H);
-  }
-  return MapCow(std::make_shared<MapData>(*H));
+  if (K != Kind::Map)
+    kindMismatch(Kind::Map);
+  auto *D = static_cast<MapData *>(W.P);
+  if (InPlace && D->useCount() == 1)
+    return MapCow(RefCntPtr<MapData>(D));
+  return MapCow(makeRefCnt<MapData>(*D));
 }
 
 QueueCow Value::queueCow(bool InPlace) const {
-  const auto &H = std::get<std::shared_ptr<QueueData>>(V);
-  if (InPlace && H.use_count() == 1) {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return QueueCow(H);
-  }
-  return QueueCow(std::make_shared<QueueData>(*H));
+  if (K != Kind::Queue)
+    kindMismatch(Kind::Queue);
+  auto *D = static_cast<QueueData *>(W.P);
+  if (InPlace && D->useCount() == 1)
+    return QueueCow(RefCntPtr<QueueData>(D));
+  return QueueCow(makeRefCnt<QueueData>(*D));
 }
 
 void Value::forEachAggregateNode(
@@ -76,27 +59,21 @@ void Value::forEachAggregateNode(
     const {
   switch (kind()) {
   case Kind::Set: {
-    const auto &H = std::get<std::shared_ptr<SetData>>(V);
-    if (!Callback(H.get(), sizeof(SetData),
-                  static_cast<uint32_t>(H.use_count())))
-      return;
-    H->Elems.forEachNode(Callback);
+    const auto *D = static_cast<const SetData *>(W.P);
+    if (Callback(D, sizeof(SetData), D->useCount()))
+      D->Elems.forEachNode(Callback);
     return;
   }
   case Kind::Map: {
-    const auto &H = std::get<std::shared_ptr<MapData>>(V);
-    if (!Callback(H.get(), sizeof(MapData),
-                  static_cast<uint32_t>(H.use_count())))
-      return;
-    H->Entries.forEachNode(Callback);
+    const auto *D = static_cast<const MapData *>(W.P);
+    if (Callback(D, sizeof(MapData), D->useCount()))
+      D->Entries.forEachNode(Callback);
     return;
   }
   case Kind::Queue: {
-    const auto &H = std::get<std::shared_ptr<QueueData>>(V);
-    if (!Callback(H.get(), sizeof(QueueData),
-                  static_cast<uint32_t>(H.use_count())))
-      return;
-    H->Elems.forEachNode(Callback);
+    const auto *D = static_cast<const QueueData *>(W.P);
+    if (Callback(D, sizeof(QueueData), D->useCount()))
+      D->Elems.forEachNode(Callback);
     return;
   }
   default:

@@ -407,10 +407,10 @@ std::vector<OutputEvent> tessla::runMonitor(
   Monitor M(Prog);
   std::vector<OutputEvent> Out;
   M.setOutputHandler([&Out](Time Ts, StreamId Id, const Value &V) {
-    // The handler's value is borrowed: with the optimization on, the
-    // aggregate behind it will be destructively updated at later
-    // timestamps. Recording requires a deep copy.
-    Out.push_back({Ts, Id, V.deepCopy()});
+    // Recording the borrowed value is an O(1) handle copy: the extra
+    // handle makes a later in-place update of the aggregate see a sharer
+    // and path-copy, so the recorded output keeps its value.
+    Out.push_back({Ts, Id, V});
   });
   for (const auto &[Id, Ts, V] : Events) {
     if (!M.feed(Id, Ts, V))

@@ -10,11 +10,9 @@
 #include "tessla/Support/Format.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 using namespace tessla;
-
-Value::~Value() = default;
 
 Value Value::fromLiteral(const ConstantLit &Lit) {
   struct Visitor {
@@ -27,6 +25,12 @@ Value Value::fromLiteral(const ConstantLit &Lit) {
     }
   };
   return std::visit(Visitor{}, Lit.V);
+}
+
+void Value::kindMismatch(Kind Want) const {
+  throw std::logic_error("Value: expected " +
+                         std::string(valueKindName(Want)) + ", got " +
+                         std::string(valueKindName(K)));
 }
 
 std::string_view tessla::valueKindName(Value::Kind K) {
@@ -51,23 +55,11 @@ std::string_view tessla::valueKindName(Value::Kind K) {
   return "?";
 }
 
-bool tessla::operator==(const Value &A, const Value &B) {
-  if (A.kind() != B.kind())
-    return false;
+// operator== (Value.h) settles scalars, strings and shared payloads
+// inline and lands here only for two distinct aggregates of one kind.
+bool Value::aggregateEquals(const Value &A, const Value &B) {
   switch (A.kind()) {
-  case Value::Kind::Unit:
-    return true;
-  case Value::Kind::Bool:
-    return A.getBool() == B.getBool();
-  case Value::Kind::Int:
-    return A.getInt() == B.getInt();
-  case Value::Kind::Float:
-    return A.getFloat() == B.getFloat();
-  case Value::Kind::String:
-    return A.getString() == B.getString();
   case Value::Kind::Set: {
-    if (A.aggregateIdentity() == B.aggregateIdentity())
-      return true;
     SetView SA = A.asSet(), SB = B.asSet();
     if (SA.size() != SB.size())
       return false;
@@ -77,8 +69,6 @@ bool tessla::operator==(const Value &A, const Value &B) {
     return true;
   }
   case Value::Kind::Map: {
-    if (A.aggregateIdentity() == B.aggregateIdentity())
-      return true;
     MapView MA = A.asMap(), MB = B.asMap();
     if (MA.size() != MB.size())
       return false;
@@ -90,15 +80,14 @@ bool tessla::operator==(const Value &A, const Value &B) {
     return true;
   }
   case Value::Kind::Queue: {
-    if (A.aggregateIdentity() == B.aggregateIdentity())
-      return true;
     QueueView QA = A.asQueue(), QB = B.asQueue();
     if (QA.size() != QB.size())
       return false;
     return QA.items() == QB.items();
   }
+  default:
+    return false;
   }
-  return false;
 }
 
 /// Sorted canonical item lists give aggregates an order and a stable
@@ -163,44 +152,26 @@ int tessla::compareValues(const Value &A, const Value &B) {
   return 0;
 }
 
-static size_t hashCombine(size_t Seed, size_t H) {
-  return Seed ^ (H + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
-}
-
-size_t Value::hash() const {
-  size_t KindSeed = static_cast<size_t>(kind()) * 0x9e3779b97f4a7c15ULL;
+size_t Value::aggregateHash() const {
+  size_t H = 0;
   switch (kind()) {
-  case Kind::Unit:
-    return KindSeed;
-  case Kind::Bool:
-    return hashCombine(KindSeed, getBool() ? 1 : 0);
-  case Kind::Int:
-    return hashCombine(KindSeed, std::hash<int64_t>{}(getInt()));
-  case Kind::Float:
-    return hashCombine(KindSeed, std::hash<double>{}(getFloat()));
-  case Kind::String:
-    return hashCombine(KindSeed, std::hash<std::string>{}(getString()));
-  case Kind::Set: {
+  case Kind::Set:
     // XOR: order-independent of the hash iteration order.
-    size_t H = 0;
     asSet().forEach([&H](const Value &V) { H ^= V.hash(); });
-    return hashCombine(KindSeed, H);
-  }
-  case Kind::Map: {
-    size_t H = 0;
+    break;
+  case Kind::Map:
     asMap().forEach([&H](const Value &K, const Value &V) {
       H ^= hashCombine(K.hash(), V.hash());
     });
-    return hashCombine(KindSeed, H);
-  }
-  case Kind::Queue: {
-    size_t H = 0;
+    break;
+  case Kind::Queue:
     asQueue().forEach(
         [&H](const Value &V) { H = hashCombine(H, V.hash()); });
-    return hashCombine(KindSeed, H);
+    break;
+  default:
+    break;
   }
-  }
-  return 0;
+  return H;
 }
 
 std::string Value::str() const {

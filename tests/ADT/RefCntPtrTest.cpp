@@ -67,6 +67,16 @@ TEST(RefCntPtrTest, AssignmentReleasesOld) {
   EXPECT_EQ(Tracked::Alive, 1);
 }
 
+TEST(RefCntPtrTest, DetachHandsOverTheCount) {
+  RefCntPtr<Tracked> P = makeRefCnt<Tracked>(4);
+  Tracked *Raw = P.detach();
+  EXPECT_FALSE(P);
+  EXPECT_EQ(Raw->useCount(), 1u) << "detach neither retains nor releases";
+  EXPECT_EQ(Tracked::Alive, 1);
+  Raw->release();
+  EXPECT_EQ(Tracked::Alive, 0);
+}
+
 TEST(RefCntPtrTest, CopyOfObjectGetsFreshCount) {
   RefCntPtr<Tracked> P = makeRefCnt<Tracked>(3);
   RefCntPtr<Tracked> Q = P;

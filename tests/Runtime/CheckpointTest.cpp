@@ -26,7 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace tessla;
@@ -375,6 +381,64 @@ TEST(CheckpointTest, FileRoundTripAndMissingFile) {
   DiagnosticEngine MDiags;
   EXPECT_FALSE(loadCheckpointFile(Path + ".missing", P, MDiags));
   EXPECT_FALSE(MDiags.str().empty());
+}
+
+TEST(CheckpointTest, FailedWriteKeepsThePreviousCheckpoint) {
+  // A write that dies part-way (here: the file-size limit, standing in
+  // for a full disk) must leave the previous checkpoint intact. Writing
+  // in place would truncate it to the prefix that made it to disk.
+  constexpr rlim_t Limit = 1000;
+  Program P = workloadProgram();
+  StreamId X = *P.spec().lookup("x");
+  std::vector<Rec> Recs = workloadTrace();
+  std::vector<uint8_t> Old = checkpointAt(P, Recs, 12, 2, X);
+  std::vector<uint8_t> New = checkpointAt(P, Recs, 24, 2, X);
+  ASSERT_GT(New.size(), Limit) << "the new checkpoint must hit the limit";
+  ASSERT_NE(Old, New);
+  DiagnosticEngine LDiags;
+  auto OldC = loadCheckpoint(Old, P, LDiags);
+  auto NewC = loadCheckpoint(New, P, LDiags);
+  ASSERT_TRUE(OldC && NewC) << LDiags.str();
+
+  std::string Dir = ::testing::TempDir() + "tessla_ck_fail_" +
+                    std::to_string(::getpid());
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(std::filesystem::create_directory(Dir));
+  std::string Path = Dir + "/fleet.tcp";
+  DiagnosticEngine WDiags;
+  ASSERT_TRUE(writeCheckpointFile(*OldC, Path, WDiags)) << WDiags.str();
+
+  pid_t Child = ::fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0) {
+    // Over the limit, write(2) fails with EFBIG instead of raising
+    // SIGXFSZ. Exit 0 only if the writer reported the failure.
+    struct rlimit RL = {Limit, Limit};
+    ::signal(SIGXFSZ, SIG_IGN);
+    if (::setrlimit(RLIMIT_FSIZE, &RL) != 0)
+      ::_exit(2);
+    DiagnosticEngine Diags;
+    bool Ok = writeCheckpointFile(*NewC, Path, Diags);
+    ::_exit(!Ok && Diags.hasErrors() ? 0 : 1);
+  }
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Child, &Status, 0), Child);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0) << "the write must fail and say so";
+
+  std::ifstream In(Path, std::ios::binary);
+  std::vector<uint8_t> OnDisk{std::istreambuf_iterator<char>(In),
+                              std::istreambuf_iterator<char>()};
+  EXPECT_EQ(OnDisk, Old) << "the previous checkpoint was damaged";
+  DiagnosticEngine RDiags;
+  EXPECT_TRUE(loadCheckpointFile(Path, P, RDiags)) << RDiags.str();
+
+  std::vector<std::string> Left;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Left.push_back(Entry.path().filename().string());
+  EXPECT_EQ(Left, std::vector<std::string>{"fleet.tcp"})
+      << "a temporary file was left behind";
+  std::filesystem::remove_all(Dir);
 }
 
 // --- Structural sharing across the round trip -------------------------------

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 using namespace tessla;
 
 TEST(ValueTest, ScalarConstructionAndAccess) {
@@ -193,4 +197,144 @@ TEST(ValueTest, ForEachAggregateNodeReportsWrapperAndSpine) {
         ADD_FAILURE() << "scalar walked";
         return false;
       });
+}
+
+// --- Layout and lifetime of the two-word handle ---------------------------
+
+namespace {
+
+/// One value of every kind, aggregates non-empty.
+std::vector<Value> oneOfEachKind() {
+  MapCow M = Value::emptyMap().mapCow(true);
+  M.put(Value::integer(1), Value::string("one"));
+  QueueCow Q = Value::emptyQueue().queueCow(true);
+  Q.enqueue(Value::integer(7));
+  return {Value::unit(),
+          Value::boolean(true),
+          Value::integer(-3),
+          Value::floating(2.5),
+          Value::string("a string"),
+          inPlaceSetOf({1, 2, 3}),
+          std::move(M).finish(),
+          std::move(Q).finish()};
+}
+
+/// The payload wrapper's handle count, as the memory walk reports it.
+uint32_t handleCount(const Value &V) {
+  uint32_t Count = 0;
+  V.forEachAggregateNode([&Count](const void *, size_t, uint32_t Owners) {
+    Count = Owners;
+    return false; // the wrapper only
+  });
+  return Count;
+}
+
+} // namespace
+
+TEST(ValueTest, SelfAssignmentKeepsTheValue) {
+  for (const Value &Orig : oneOfEachKind()) {
+    SCOPED_TRACE(Orig.str());
+    Value V = Orig;
+    Value &Alias = V; // keeps the compiler's self-assignment check quiet
+    V = Alias;
+    EXPECT_EQ(V, Orig);
+    EXPECT_EQ(V.aggregateIdentity(), Orig.aggregateIdentity());
+    V = std::move(Alias);
+    EXPECT_EQ(V, Orig);
+    EXPECT_EQ(V.aggregateIdentity(), Orig.aggregateIdentity());
+    if (Orig.isAggregate()) {
+      EXPECT_EQ(handleCount(Orig), 2u) << "self-assignment leaked a count";
+    }
+  }
+}
+
+TEST(ValueTest, MovedFromValueIsUnit) {
+  for (const Value &Orig : oneOfEachKind()) {
+    SCOPED_TRACE(Orig.str());
+    Value A = Orig;
+    Value B = std::move(A);
+    EXPECT_EQ(A.kind(), Value::Kind::Unit);
+    EXPECT_EQ(B, Orig);
+    Value C = Value::integer(1);
+    C = std::move(B);
+    EXPECT_EQ(B.kind(), Value::Kind::Unit);
+    EXPECT_EQ(C, Orig);
+    if (Orig.isAggregate()) {
+      EXPECT_EQ(handleCount(Orig), 2u) << "a move must not touch the count";
+    }
+  }
+}
+
+TEST(ValueTest, WrongKindAccessThrows) {
+  // The word is only read as the tag's type, whatever the build type.
+  EXPECT_THROW(Value::integer(5).getString(), std::logic_error);
+  EXPECT_THROW(Value::string("5").getInt(), std::logic_error);
+  EXPECT_THROW(Value::floating(1.0).getBool(), std::logic_error);
+  EXPECT_THROW(Value::unit().getFloat(), std::logic_error);
+  EXPECT_THROW(Value::integer(5).asSet(), std::logic_error);
+  EXPECT_THROW(Value::emptySet().asMap(), std::logic_error);
+  EXPECT_THROW(Value::emptyMap().queueCow(true), std::logic_error);
+}
+
+TEST(ValueTest, CopyingAStringSharesOnePayload) {
+  Value A = Value::string("shared, not copied");
+  Value B = A;
+  EXPECT_EQ(&A.getString(), &B.getString());
+  Value C = Value::unit();
+  C = B;
+  EXPECT_EQ(&C.getString(), &A.getString());
+  EXPECT_EQ(C.hash(), Value::string("shared, not copied").hash());
+}
+
+TEST(ValueTest, CopyAddsOneHandleToTheAggregate) {
+  for (Value &Elem : oneOfEachKind()) {
+    if (!Elem.isAggregate())
+      continue;
+    SCOPED_TRACE(valueKindName(Elem.kind()));
+    Value A = std::move(Elem); // the only handle
+    EXPECT_EQ(handleCount(A), 1u);
+    Value B = A;
+    EXPECT_EQ(handleCount(A), 2u);
+    EXPECT_EQ(handleCount(B), 2u);
+    B = Value::unit();
+    EXPECT_EQ(handleCount(A), 1u);
+  }
+}
+
+TEST(ValueTest, InPlaceUpdateAfterCrossThreadRelease) {
+  // A second holder reads the set on another thread and drops its handle
+  // there, with no join before the owner's update. Handle retains are
+  // relaxed, so the only edge that orders the reader's accesses before
+  // the destructive write is the acquire load behind setCow's uniqueness
+  // test, which reads the reader's release-decrement. CI runs this under
+  // TSan.
+  Value S = inPlaceSetOf({1, 2, 3, 4, 5, 6, 7, 8});
+  const void *Identity = S.aggregateIdentity();
+  size_t SeenSize = 0;
+  bool SeenFive = false;
+  std::thread Reader([Held = S, &SeenSize, &SeenFive]() mutable {
+    SeenSize = Held.asSet().size();
+    SeenFive = Held.asSet().contains(Value::integer(5));
+    Held = Value::unit();
+  });
+  // Until the reader lets go, setCow(true) path-copies: discard that
+  // result and retry until the update reuses the payload.
+  for (;;) {
+    SetCow C = S.setCow(true);
+    C.add(Value::integer(9));
+    C.remove(Value::integer(5));
+    Value Next = std::move(C).finish();
+    if (Next.aggregateIdentity() == Identity) {
+      S = std::move(Next);
+      break;
+    }
+    std::this_thread::yield();
+  }
+  Reader.join();
+  EXPECT_EQ(SeenSize, 8u);
+  EXPECT_TRUE(SeenFive);
+  EXPECT_EQ(S.asSet().size(), 8u);
+  EXPECT_TRUE(S.asSet().contains(Value::integer(9)));
+  EXPECT_FALSE(S.asSet().contains(Value::integer(5)));
+  EXPECT_EQ(handleCount(S), 1u);
 }

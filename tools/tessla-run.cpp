@@ -139,15 +139,6 @@ std::optional<std::vector<uint8_t>> readBinaryFile(const char *Path) {
   return Bytes;
 }
 
-bool writeBinaryFile(const char *Path, const std::vector<uint8_t> &Bytes) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out)
-    return false;
-  Out.write(reinterpret_cast<const char *>(Bytes.data()),
-            static_cast<std::streamsize>(Bytes.size()));
-  return static_cast<bool>(Out);
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -466,8 +457,9 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "checkpoint failed: %s\n", Err.c_str());
         return 1;
       }
-      if (!writeBinaryFile(CheckpointTo, *Bytes)) {
-        std::fprintf(stderr, "cannot write %s\n", CheckpointTo);
+      DiagnosticEngine WriteDiags;
+      if (!writeCheckpointFile(*Bytes, CheckpointTo, WriteDiags)) {
+        std::fprintf(stderr, "%s", WriteDiags.str().c_str());
         return 1;
       }
       std::fprintf(stderr, "checkpoint: %zu bytes -> %s\n", Bytes->size(),
