@@ -47,14 +47,13 @@
 ///
 /// The native engine does not implement extractLane()/insertLane():
 /// monitor state lives inside the shared object behind an opaque
-/// instance pointer, so supportsMigration() is false, the fleet's work
-/// stealing is inert for native shards, and FleetMode::Auto never
-/// switches into (or out of) the native tier. Everything else of the
+/// instance pointer, so supportsMigration() is false and the fleet's
+/// work stealing is inert for native shards. Everything else of the
 /// ShardEngine contract — feed validation order, error texts, output
 /// bytes, output counting without a handler — is byte-identical to
-/// Monitor; the host side re-runs Monitor::feed's checks before
-/// crossing the C boundary because the generated feed keeps only a
-/// weaker ordering backstop.
+/// Monitor; the host side runs the engines' one record check
+/// (Runtime/RecordCheck.h) before crossing the C boundary because the
+/// generated feed keeps only a weaker ordering backstop.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,17 +15,19 @@
 /// the per-slot state walk into contiguous row traversals (cache-friendly
 /// now, SIMD-able next).
 ///
-/// ## Observational identity
+/// ## One kernel
 ///
-/// The engine is required to be *byte-identical* to running each session
-/// through its own independent Monitor: same outputs, same per-session
-/// emission order, same failure points and messages. Lanes share no
-/// state — a sweep is just a reordering of per-session work that was
-/// already independent — and every feed-time check of Monitor::feed is
-/// re-applied (deferred to the sweep loop) per lane. The differential
-/// corpus harness (tests/Integration/BatchedDifferentialTest.cpp)
-/// enforces this against the per-session engine on random specs, both
-/// optimization levels and both mutability modes.
+/// A sweep is the calculation kernel Monitor runs too
+/// (src/Runtime/CalcKernel.h), over the sweep's active lanes, and a
+/// lane's buffered records pass the engines' one record check
+/// (Runtime/RecordCheck.h) when the pump consumes them. So a lane is
+/// byte-identical to its own Monitor by construction — same outputs,
+/// emission order, failure points and messages; this engine owns only
+/// the striped layout, lane bookkeeping and the scheduling of records
+/// into tiled sweeps. The differential corpus
+/// (tests/Integration/BatchedDifferentialTest.cpp) checks that
+/// scheduling, layout and migration keep the identity, on random specs,
+/// both optimization levels and both mutability modes.
 ///
 /// Lanes advance on *their own* timelines: a sweep runs each active lane
 /// at that lane's next due timestamp (pending input timestamp or delay
@@ -78,10 +80,9 @@ public:
   explicit BatchedMonitor(const Program &Prog, bool CollectOutputs = true);
 
   /// One buffered input record of a lane (not yet validated/applied; the
-  /// checks of Monitor::feed run when the pump loop consumes it). The
-  /// record and snapshot types live in Runtime/ExecutionEngine.h — the
-  /// migration contract is engine-agnostic — but keep their historical
-  /// names here.
+  /// record check runs when the pump loop consumes it). The record and
+  /// snapshot types live in Runtime/ExecutionEngine.h — the migration
+  /// contract is engine-agnostic — but keep their historical names here.
   using PendingRecord = EnginePendingRecord;
 
   /// A whole lane's engine state, extracted for migration; movable
@@ -94,10 +95,11 @@ public:
   /// lane index, stable until extractLane().
   unsigned addLane(SessionId Session) override;
 
-  /// Buffers one input record for \p Lane. Validation (timestamp order,
-  /// duplicate events, negative timestamps) is deferred to pump(), where
-  /// it fails the lane exactly like Monitor::feed would. \returns false
-  /// if the lane already failed or the engine is finished.
+  /// Buffers one input record for \p Lane. The record check (timestamp
+  /// order, duplicate events, negative timestamps, the value's type) is
+  /// deferred to pump(), where it fails the lane exactly like
+  /// Monitor::feed would. \returns false if the lane already failed or
+  /// the engine is finished.
   bool feed(unsigned Lane, StreamId Input, Time Ts, Value V) override;
 
   /// Runs lockstep sweeps until every lane has consumed its buffered
@@ -220,28 +222,17 @@ private:
   std::vector<uint32_t> DirtyLanes;
   std::vector<char> InDirty;
 
+  /// The kernel's view of a sweep (src/Runtime/CalcKernel.h).
+  struct CalcState;
+
   size_t idx(SlotId Slot, uint32_t Lane) const {
     return static_cast<size_t>(Slot) * LaneCap + Lane;
   }
-  void setLane(SlotId Slot, uint32_t Lane, Value V);
   void growLanes(size_t NewCap);
   unsigned allocLane(SessionId Id);
-  void clearLaneRows(uint32_t Lane);
+  template <class Self> static LaneState laneState(Self &B, unsigned Lane);
   bool prepareLane(uint32_t Lane);
-  std::optional<Time> minNextDelay(uint32_t Lane) const;
   void sweep();
-  /// Monitor::updateInPlace for lane \p Lane.
-  Value updateInPlace(const ProgramStep &Step, uint32_t Lane,
-                      const Value *const *Args, EvalError &Err) {
-    return runInPlaceUpdate(
-        Prog.releases(), Step, Args, Err, InPlaceStats[Lane],
-        [this, Lane](const HandleRelease &R) -> Value & {
-          size_t I = idx(R.Slot, Lane);
-          return R.K == HandleRelease::Kind::Value ? Cur[I] : LastVal[I];
-        });
-  }
-  void failLaneAt(uint32_t Lane, Time Ts, StreamId Id,
-                  const std::string &Message);
   void failLane(uint32_t Lane, std::string Message);
 };
 

@@ -19,9 +19,11 @@
 ///
 /// All engines are *observationally identical* per session: same outputs
 /// in the same per-session order, same failure points and messages as a
-/// lone Monitor over the same records. The differential corpus
-/// (tests/Integration/BatchedDifferentialTest.cpp) enforces this
-/// three-way.
+/// lone Monitor over the same records. The two interpreting engines run
+/// one calculation kernel (src/Runtime/CalcKernel.h), and all three
+/// admit records through one check (Runtime/RecordCheck.h); the
+/// differential corpus (tests/Integration/BatchedDifferentialTest.cpp)
+/// enforces the identity three-way.
 ///
 /// ## Lanes and the migration contract
 ///
@@ -31,7 +33,8 @@
 /// hand-off: extractLane() moves a lane's complete engine state into an
 /// EngineLaneState snapshot and insertLane() revives it — in the *same
 /// or any other* migratable engine over the same Program (per-session ↔
-/// batched hand-offs are exercised by the fleet's Auto heuristic). As
+/// batched hand-offs happen when a checkpoint one engine wrote restores
+/// into the other; CheckpointDifferentialTest runs both directions). As
 /// with Monitor hand-off, the transfer must synchronize (release/acquire
 /// happens-before the new owner's first use) and the old owner retains
 /// nothing derived from the lane.
@@ -57,7 +60,7 @@
 namespace tessla {
 
 /// One buffered input record of a lane (not yet validated/applied; the
-/// feed-time checks of Monitor::feed run when the engine consumes it).
+/// record check runs when the engine consumes it).
 struct EnginePendingRecord {
   EnginePendingRecord() = default;
   EnginePendingRecord(StreamId Input_, Time Ts_, Value V_)

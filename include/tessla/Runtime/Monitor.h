@@ -10,9 +10,12 @@
 /// (§III-B) drives it — once per timestamp with buffered input events,
 /// plus once per firing delay in the gaps between input timestamps.
 ///
-/// The engine is deliberately thin: every step carries its pre-resolved
-/// opcode, argument slots and builtin function pointer, so the per-event
-/// work is one flat dispatch per step over dense slot arrays.
+/// The calculation itself is the kernel both interpreting engines share
+/// (src/Runtime/CalcKernel.h) over a one-lane layout, and feed() admits
+/// records through the engines' one record check
+/// (Runtime/RecordCheck.h). What Monitor adds is eager scheduling: each
+/// record is checked when it is fed, and a timestamp's calculation runs
+/// as soon as a later record arrives.
 ///
 /// Usage:
 /// \code
@@ -71,9 +74,9 @@ public:
   }
 
   /// Feeds one input event. Events must arrive in non-decreasing
-  /// timestamp order; at most one event per stream and timestamp.
-  /// \returns false if the monitor already failed or the event was
-  /// rejected (the error message tells why).
+  /// timestamp order, at most one per stream and timestamp, with a value
+  /// of the input's declared type. \returns false if the monitor already
+  /// failed or the event was rejected (the error message tells why).
   bool feed(StreamId Input, Time Ts, Value V);
 
   /// Signals end of input (t = infinity in §III-B): processes the pending
@@ -157,23 +160,13 @@ private:
   uint64_t NumFed = 0;
   InPlaceCounts InPlaceStats;
 
-  void setValue(SlotId Slot, Value V);
-  /// Runs \p Step's outer in-place update over \p Args: drops the
-  /// handles its ownership plan proves dead and counts the hit or miss.
-  Value updateInPlace(const ProgramStep &Step, const Value *const *Args) {
-    return runInPlaceUpdate(
-        Prog.releases(), Step, Args, Err, InPlaceStats,
-        [this](const HandleRelease &R) -> Value & {
-          return R.K == HandleRelease::Kind::Value ? Cur[R.Slot]
-                                                   : LastVal[R.Slot];
-        });
-  }
+  /// The kernel's view of this monitor (src/Runtime/CalcKernel.h).
+  struct CalcState;
+  template <class Self> static void laneState(Self &M, EngineLaneState &Out);
   void runCalc(Time Ts);
   /// Runs the pending timestamp's calculation and all delay firings
   /// strictly before \p T.
   void flushBefore(Time T);
-  std::optional<Time> minNextDelay() const;
-  void failAt(Time Ts, StreamId Id, const std::string &Message);
 };
 
 /// Runs \p Events (already time-ordered) through a fresh monitor over

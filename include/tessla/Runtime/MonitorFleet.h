@@ -20,12 +20,8 @@
 /// per shard whose lanes are the shard's sessions (Batched), or
 /// compiled monitor code loaded from a shared object (Native; the
 /// engine factory is injected through FleetOptions::NativeFactory so
-/// this library never links the code generator). Auto starts every
-/// shard Batched and watches the arrival pattern: interleaved traffic
-/// stays batched (wide lockstep sweeps), while chunky single-session
-/// replay — which regresses under batching — migrates the shard's lanes
-/// to a per-session engine once observed. All engines produce
-/// byte-identical output.
+/// this library never links the code generator). Auto, the default,
+/// runs every shard Batched. All engines produce byte-identical output.
 ///
 /// ## Ingestion: producer handles (multi-producer fan-in)
 ///
@@ -135,12 +131,10 @@ class MonitorFleet;
 
 /// How the shards execute their sessions.
 enum class FleetMode : uint8_t {
-  /// Pick automatically: every shard starts Batched and observes its
-  /// arrival pattern over the first FleetOptions::AutoObservationRecords
-  /// records — interleaved traffic (short same-session runs) stays
-  /// batched, chunky replay (long runs, which batching slows down)
-  /// migrates the shard's lanes to a per-session engine. The verdict is
-  /// per shard and visible in ShardStats::Engine.
+  /// The default: resolves to Batched when the fleet is constructed.
+  /// Lockstep sweeps pay at the fleet's interleaved shape and hold even
+  /// on chunky replay (EXPERIMENTS.md, "Engine selection at the fleet's
+  /// real shape"), so no shard switches engines mid-run.
   Auto,
   /// One independent Monitor per session (the original path; kept for
   /// heterogeneous fleets and as the differential reference).
@@ -192,14 +186,6 @@ struct FleetOptions {
   /// runtime library itself never links the code generator. Null means
   /// Native falls back to PerSession.
   EngineFactory NativeFactory;
-  /// Auto mode: records a shard routes before deciding its engine. The
-  /// verdict uses exactly this many records, so the choice is a
-  /// deterministic function of the shard's record sequence.
-  uint64_t AutoObservationRecords = 4096;
-  /// Auto mode: mean same-session run length (records between session
-  /// switches) at or above which a shard counts as *chunky* and
-  /// migrates to the per-session engine.
-  double AutoChunkThreshold = 16.0;
 };
 
 /// Counters of one worker shard (written by the worker, read after
@@ -226,8 +212,8 @@ struct ShardStats {
   uint64_t InPlaceHits = 0;   ///< in-place updates that mutated destructively
   uint64_t InPlaceMisses = 0; ///< in-place updates that path-copied around
                               ///< a sharer (Monitor::inPlaceMisses)
-  std::string Engine;            ///< final engine ("per-session", "batched",
-                                 ///< "native"); Auto shards show their verdict
+  std::string Engine;            ///< engine ("per-session", "batched",
+                                 ///< "native")
 
   /// Stable self-describing "key=value key=value ..." rendering — one
   /// format shared by `tessla-run --stats`, FleetStats::str() and the
@@ -407,9 +393,7 @@ public:
   unsigned shardCount() const { return static_cast<unsigned>(Workers.size()); }
 
   /// The resolved execution mode (never Auto): the engine every shard
-  /// *starts* with. Under FleetMode::Auto this is Batched — shards that
-  /// observe chunky arrivals then migrate themselves to per-session,
-  /// which ShardStats::Engine reports.
+  /// runs. Under FleetMode::Auto this is Batched.
   FleetMode mode() const { return Mode; }
 
   /// Non-empty when the requested mode could not be honoured (e.g.
@@ -432,7 +416,6 @@ private:
   const Program &Prog;
   FleetOptions Opts;
   FleetMode Mode = FleetMode::PerSession; // resolved, never Auto
-  bool AutoMode = false; // shards may re-decide their engine
   std::string EngineFallback;
   std::vector<std::unique_ptr<Shard>> Workers;
 

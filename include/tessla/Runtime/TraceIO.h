@@ -83,9 +83,10 @@ runMonitor(const Program &Prog, const EventBatch &Batch,
 
 /// Parses a textual trace against \p S's input streams. Events must be
 /// listed in non-decreasing timestamp order (checked by the monitor, not
-/// here). Lines that are empty or start with '#'/"--" are skipped.
-/// Returns nullopt and reports through \p Diags on malformed lines or
-/// unknown stream names.
+/// here). Lines that are empty or start with '#'/"--" are skipped. An
+/// integral literal on a Float input reads as a Float. Returns nullopt
+/// and reports through \p Diags on malformed lines, unknown stream names
+/// and values of the wrong type.
 std::optional<std::vector<TraceEvent>>
 parseTrace(std::string_view Text, const Spec &S, DiagnosticEngine &Diags);
 

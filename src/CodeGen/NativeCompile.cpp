@@ -8,6 +8,7 @@
 
 #include "tessla/CodeGen/CppEmitter.h"
 #include "tessla/Program/Serialize.h"
+#include "tessla/Runtime/RecordCheck.h"
 #include "tessla/Runtime/TraceIO.h"
 #include "tessla/Support/Format.h"
 
@@ -250,9 +251,9 @@ bool buildInto(const Program &P, const NativeCompileOptions &Opts,
   return true;
 }
 
-/// The native ShardEngine: one shim instance per lane, all Monitor::feed
-/// validation re-run host-side (the generated feed keeps only a weak
-/// ordering backstop), outputs lifted back into Values via
+/// The native ShardEngine: one shim instance per lane, the engines' one
+/// record check (Runtime/RecordCheck.h) run host-side (the generated feed
+/// keeps only a weak ordering backstop), outputs lifted back into Values via
 /// parseValueText so downstream comparison and printing are engine-
 /// agnostic.
 class NativeShardEngine final : public ShardEngine {
@@ -301,22 +302,16 @@ public:
 
   bool feed(unsigned Lane, StreamId Input, Time Ts, Value V) override {
     LaneData &D = *Lanes[Lane];
-    // Monitor::feed's validation, in its exact order and wording; the
-    // shared object only flushes and applies.
+    // The engines' one record check runs host-side; the shared object
+    // only flushes and applies.
     if (D.Failed)
       return false;
-    if (EngineFinished)
-      return fail(D, "feed() after finish()");
     SlotId Slot = Prog.valueSlot(Input);
-    if (Ts < 0)
-      return failAt(D, Ts, Input, "timestamps must be non-negative");
-    if (Ts < D.PendingTs || (D.CalcDone && Ts == D.PendingTs))
-      return failAt(D, Ts, Input,
-                    "input events must arrive in timestamp order");
+    if (RecordFault F = checkRecord(Prog, EngineFinished, Input, Ts, V,
+                                    D.PendingTs, D.CalcDone, D.Present[Slot]);
+        F != RecordFault::None)
+      return fail(D, describeRecordFault(Prog, F, Input, Ts, V));
     bool Advance = Ts > D.PendingTs;
-    if (!Advance && D.Present[Slot])
-      return failAt(D, Ts, Input,
-                    "two events on one stream at the same timestamp");
     if (!callFeed(D, Input, Ts, V))
       return false;
     if (Advance) {
@@ -418,13 +413,6 @@ private:
     D.Failed = true;
     D.Error = std::move(Message);
     return false;
-  }
-  bool failAt(LaneData &D, Time Ts, StreamId Id,
-              const std::string &Message) {
-    return fail(D, formatString("at t=%lld, stream '%s': %s",
-                                static_cast<long long>(Ts),
-                                Prog.spec().stream(Id).Name.c_str(),
-                                Message.c_str()));
   }
   void takeNativeError(LaneData &D) {
     const char *Err = Lib->error(D.Inst);

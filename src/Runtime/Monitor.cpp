@@ -6,11 +6,12 @@
 
 #include "tessla/Runtime/Monitor.h"
 
+#include "CalcKernel.h"
 #include "tessla/Runtime/ExecutionEngine.h"
-#include "tessla/Support/Format.h"
+#include "tessla/Runtime/RecordCheck.h"
 
+#include <array>
 #include <cassert>
-#include <limits>
 
 using namespace tessla;
 
@@ -25,254 +26,37 @@ Monitor::Monitor(const Program &Prog_) : Prog(Prog_) {
   NextTsSet.assign(Prog.delays().size(), 0);
 }
 
-void Monitor::failAt(Time Ts, StreamId Id, const std::string &Message) {
-  Err.fail(formatString("at t=%lld, stream '%s': %s",
-                        static_cast<long long>(Ts),
-                        Prog.spec().stream(Id).Name.c_str(),
-                        Message.c_str()));
-}
+/// Monitor's kernel layout (CalcKernel.h): one lane, rows indexed by
+/// slot, every run at one timestamp.
+struct Monitor::CalcState {
+  Monitor &M;
+  Time Ts;
 
-void Monitor::setValue(SlotId Slot, Value V) {
-  Cur[Slot] = std::move(V);
-  if (!Present[Slot]) {
-    Present[Slot] = 1;
-    Touched.push_back(Slot);
+  static std::array<uint32_t, 1> lanes() { return {0}; }
+  bool failed(uint32_t) const { return M.Err.Failed; }
+  static size_t row(size_t R) { return R; }
+  Value &cur(size_t I) { return M.Cur[I]; }
+  char &present(size_t I) { return M.Present[I]; }
+  Value &lastVal(size_t I) { return M.LastVal[I]; }
+  char &lastInit(size_t I) { return M.LastInit[I]; }
+  Time &nextTs(size_t I) { return M.NextTs[I]; }
+  char &nextTsSet(size_t I) { return M.NextTsSet[I]; }
+  std::vector<SlotId> &touched(uint32_t) { return M.Touched; }
+  Time runTs(uint32_t) const { return Ts; }
+  InPlaceCounts &inPlace(uint32_t) { return M.InPlaceStats; }
+  void emit(uint32_t, StreamId Id, const Value &V) {
+    ++M.NumOutputs;
+    if (M.Handler)
+      M.Handler(Ts, Id, V);
   }
-}
-
-std::optional<Time> Monitor::minNextDelay() const {
-  std::optional<Time> Min;
-  for (size_t I = 0, E = NextTs.size(); I != E; ++I)
-    if (NextTsSet[I] && (!Min || NextTs[I] < *Min))
-      Min = NextTs[I];
-  return Min;
-}
+  void fail(uint32_t, Time At, StreamId Id, const std::string &Message) {
+    M.Err.fail(failureAt(M.Prog.spec(), At, Id, Message));
+  }
+};
 
 void Monitor::runCalc(Time Ts) {
   ++NumCalcRuns;
-
-  // --- Calculation section (§III-A), in translation order: one flat
-  // dispatch per step over pre-resolved slots and function pointers. ---
-  for (const ProgramStep &Step : Prog.steps()) {
-    if (Err.Failed)
-      return;
-    switch (Step.Op) {
-    case Opcode::Skip:
-      break; // inputs were buffered by feed(); nil never fires
-    case Opcode::Const:
-      if (Ts == 0)
-        setValue(Step.Dst, Step.ConstVal);
-      break;
-    case Opcode::Time:
-      if (Present[Step.ArgSlot[0]])
-        setValue(Step.Dst, Value::integer(Ts));
-      break;
-    case Opcode::Last:
-      if (Present[Step.ArgSlot[1]] && LastInit[Step.Aux])
-        setValue(Step.Dst, LastVal[Step.Aux]);
-      break;
-    case Opcode::Delay:
-      if (NextTsSet[Step.Aux] && NextTs[Step.Aux] == Ts)
-        setValue(Step.Dst, Value::unit());
-      break;
-    case Opcode::LiftAll: {
-      const Value *Args[3];
-      bool AllPresent = true;
-      for (unsigned I = 0; I != Step.NumArgs; ++I) {
-        if (!Present[Step.ArgSlot[I]]) {
-          AllPresent = false;
-          break;
-        }
-        Args[I] = &Cur[Step.ArgSlot[I]];
-      }
-      if (!AllPresent)
-        break;
-      Value Result = Step.InPlaceUpdates
-                         ? updateInPlace(Step, Args)
-                         : Step.Impl(Args, Step.InPlace, Err);
-      if (Err.Failed) {
-        failAt(Ts, Step.Id, Err.Message);
-        return;
-      }
-      setValue(Step.Dst, std::move(Result));
-      break;
-    }
-    case Opcode::LiftMerge:
-      // merge: the first stream's event wins (f_merge, §II).
-      for (unsigned I = 0; I != Step.NumArgs; ++I)
-        if (Present[Step.ArgSlot[I]]) {
-          setValue(Step.Dst, Cur[Step.ArgSlot[I]]);
-          break;
-        }
-      break;
-    case Opcode::LiftFirstRest: {
-      if (!Present[Step.ArgSlot[0]])
-        break;
-      const Value *Args[3] = {nullptr, nullptr, nullptr};
-      bool AnyRest = false;
-      Args[0] = &Cur[Step.ArgSlot[0]];
-      for (unsigned I = 1; I != Step.NumArgs; ++I)
-        if (Present[Step.ArgSlot[I]]) {
-          Args[I] = &Cur[Step.ArgSlot[I]];
-          AnyRest = true;
-        }
-      if (!AnyRest)
-        break;
-      Value Result = Step.InPlaceUpdates
-                         ? updateInPlace(Step, Args)
-                         : Step.Impl(Args, Step.InPlace, Err);
-      if (Err.Failed) {
-        failAt(Ts, Step.Id, Err.Message);
-        return;
-      }
-      setValue(Step.Dst, std::move(Result));
-      break;
-    }
-    case Opcode::LiftFilter: {
-      // filter(a, c): pass a's event iff c is currently true.
-      if (!Present[Step.ArgSlot[0]] || !Present[Step.ArgSlot[1]])
-        break;
-      const Value &Cond = Cur[Step.ArgSlot[1]];
-      if (Cond.kind() != Value::Kind::Bool) {
-        failAt(Ts, Step.Id, "filter condition is not a Bool");
-        return;
-      }
-      if (Cond.getBool())
-        setValue(Step.Dst, Cur[Step.ArgSlot[0]]);
-      break;
-    }
-    case Opcode::ConstTick:
-      // Collapsed held constant: fires at timestamp 0 and with every
-      // trigger event, always carrying the same scalar.
-      if (Ts == 0 || Present[Step.ArgSlot[0]])
-        setValue(Step.Dst, Step.ConstVal);
-      break;
-    case Opcode::FusedLastLift: {
-      // Consumer lift with a fused last(v, r) as first argument: fires
-      // when r fires, the last slot is initialized, and the remaining
-      // arguments are present — byte-identical to the unfused pair.
-      if (!Present[Step.ArgSlot[0]] || !LastInit[Step.Aux])
-        break;
-      const Value *Args[3];
-      Args[0] = &LastVal[Step.Aux];
-      bool AllPresent = true;
-      for (unsigned I = 1; I != Step.NumArgs; ++I) {
-        if (!Present[Step.ArgSlot[I]]) {
-          AllPresent = false;
-          break;
-        }
-        Args[I] = &Cur[Step.ArgSlot[I]];
-      }
-      if (!AllPresent)
-        break;
-      Value Result = Step.InPlaceUpdates
-                         ? updateInPlace(Step, Args)
-                         : Step.Impl(Args, Step.InPlace, Err);
-      if (Err.Failed) {
-        failAt(Ts, Step.Id, Err.Message);
-        return;
-      }
-      setValue(Step.Dst, std::move(Result));
-      break;
-    }
-    case Opcode::FusedLiftLift: {
-      // Consumer lift with its single-consumer producer inlined. The
-      // producer is evaluated whenever *its* arguments are present —
-      // even if the consumer's rest is absent — so destructive updates
-      // and error behavior match the unfused program exactly; the
-      // temporary is simply discarded when the consumer cannot fire.
-      const Value *Inner[3];
-      bool InnerPresent = true;
-      for (unsigned I = 0; I != Step.FusedArity; ++I) {
-        if (!Present[Step.ArgSlot[I]]) {
-          InnerPresent = false;
-          break;
-        }
-        Inner[I] = &Cur[Step.ArgSlot[I]];
-      }
-      if (!InnerPresent)
-        break;
-      Value Tmp = Step.Impl2(Inner, Step.InPlace2, Err);
-      if (Err.Failed) {
-        failAt(Ts, Step.FusedId, Err.Message);
-        return;
-      }
-      if (Step.InPlaceUpdates & InPlaceInner)
-        InPlaceStats.count(Inner[0]->aggregateIdentity(), Tmp);
-      const Value *Args[3];
-      Args[0] = &Tmp;
-      bool AllPresent = true;
-      for (unsigned I = Step.FusedArity; I != Step.NumArgs; ++I) {
-        if (!Present[Step.ArgSlot[I]]) {
-          AllPresent = false;
-          break;
-        }
-        Args[1 + I - Step.FusedArity] = &Cur[Step.ArgSlot[I]];
-      }
-      if (!AllPresent)
-        break;
-      Value Result = (Step.InPlaceUpdates & InPlaceOuter)
-                         ? updateInPlace(Step, Args)
-                         : Step.Impl(Args, Step.InPlace, Err);
-      if (Err.Failed) {
-        failAt(Ts, Step.Id, Err.Message);
-        return;
-      }
-      setValue(Step.Dst, std::move(Result));
-      break;
-    }
-    }
-  }
-
-  // --- Emit outputs. ---
-  if (Handler) {
-    for (const OutputSlot &Out : Prog.outputs())
-      if (Present[Out.ValueSlot]) {
-        ++NumOutputs;
-        Handler(Ts, Out.Id, Cur[Out.ValueSlot]);
-      }
-  } else {
-    for (const OutputSlot &Out : Prog.outputs())
-      if (Present[Out.ValueSlot])
-        ++NumOutputs;
-  }
-
-  // --- End of calculation: update *_last slots (§III-A). ---
-  for (size_t I = 0, E = Prog.lastSlots().size(); I != E; ++I) {
-    SlotId V = Prog.lastSlots()[I].ValueSlot;
-    if (Present[V]) {
-      LastVal[I] = Cur[V];
-      LastInit[I] = 1;
-    }
-  }
-
-  // --- Delay scheduling (§III-B): an event of the reset stream or the
-  // delay itself is a reset; with a delays-value event it re-arms the
-  // timer, without one it cancels it. ---
-  for (size_t I = 0, E = Prog.delays().size(); I != E; ++I) {
-    const DelaySlot &D = Prog.delays()[I];
-    bool ResetEvent = Present[D.ResetSlot] || Present[D.ValueSlot];
-    if (!ResetEvent)
-      continue;
-    if (Present[D.DelaysSlot]) {
-      int64_t Amount = Cur[D.DelaysSlot].getInt();
-      if (Amount <= 0) {
-        failAt(Ts, D.Id, "delay amounts must be positive");
-        return;
-      }
-      NextTs[I] = Ts + Amount;
-      NextTsSet[I] = 1;
-    } else {
-      NextTsSet[I] = 0;
-    }
-  }
-
-  // --- Reset current-value slots for the next timestamp. ---
-  for (SlotId Slot : Touched) {
-    Present[Slot] = 0;
-    Cur[Slot] = Value(); // release aggregate handles promptly
-  }
-  Touched.clear();
+  calc::runCalculation(Prog, CalcState{*this, Ts});
 }
 
 void Monitor::flushBefore(Time T) {
@@ -280,8 +64,9 @@ void Monitor::flushBefore(Time T) {
     runCalc(PendingTs);
     CalcDoneForPending = true;
   }
+  CalcState S{*this, T};
   while (!Err.Failed) {
-    std::optional<Time> Min = minNextDelay();
+    std::optional<Time> Min = calc::nextDelay(Prog, S, 0);
     if (!Min || *Min >= T)
       return;
     runCalc(*Min);
@@ -291,19 +76,13 @@ void Monitor::flushBefore(Time T) {
 bool Monitor::feed(StreamId Input, Time Ts, Value V) {
   if (Err.Failed)
     return false;
-  if (Finished) {
-    Err.fail("feed() after finish()");
-    return false;
-  }
   assert(Prog.spec().stream(Input).Kind == StreamKind::Input &&
          "feed() targets must be input streams");
   SlotId Slot = Prog.valueSlot(Input);
-  if (Ts < 0) {
-    failAt(Ts, Input, "timestamps must be non-negative");
-    return false;
-  }
-  if (Ts < PendingTs || (CalcDoneForPending && Ts == PendingTs)) {
-    failAt(Ts, Input, "input events must arrive in timestamp order");
+  if (RecordFault F = checkRecord(Prog, Finished, Input, Ts, V, PendingTs,
+                                  CalcDoneForPending, Present[Slot]);
+      F != RecordFault::None) {
+    Err.fail(describeRecordFault(Prog, F, Input, Ts, V));
     return false;
   }
   if (Ts > PendingTs) {
@@ -312,11 +91,9 @@ bool Monitor::feed(StreamId Input, Time Ts, Value V) {
       return false;
     PendingTs = Ts;
     CalcDoneForPending = false;
-  } else if (Present[Slot]) {
-    failAt(Ts, Input, "two events on one stream at the same timestamp");
-    return false;
   }
-  setValue(Slot, std::move(V));
+  CalcState S{*this, Ts};
+  calc::setSlot(S, Slot, 0, std::move(V));
   ++NumFed;
   return true;
 }
@@ -324,47 +101,38 @@ bool Monitor::feed(StreamId Input, Time Ts, Value V) {
 void Monitor::finish(std::optional<Time> Horizon) {
   if (Err.Failed || Finished)
     return;
-  Time Bound = Horizon ? (*Horizon == std::numeric_limits<Time>::max()
-                              ? *Horizon
-                              : *Horizon + 1)
-                       : std::numeric_limits<Time>::max();
-  flushBefore(Bound);
+  flushBefore(drainBound(Horizon));
   Finished = true;
 }
 
+/// The lane state behind extractState() and snapshotState(): std::move
+/// moves out of a mutable monitor and copies out of a const one.
+template <class Self>
+void Monitor::laneState(Self &M, EngineLaneState &Out) {
+  Out.PendingTs = M.PendingTs;
+  Out.CalcDone = M.CalcDoneForPending;
+  Out.Failed = M.Err.Failed;
+  Out.Error = std::move(M.Err.Message);
+  Out.NumFed = M.NumFed;
+  Out.NumOutputs = M.NumOutputs;
+  Out.NumCalcRuns = M.NumCalcRuns;
+  Out.Cur = std::move(M.Cur); // O(1) per slot: handles share structure
+  Out.Present = std::move(M.Present);
+  Out.LastVal = std::move(M.LastVal);
+  Out.LastInit = std::move(M.LastInit);
+  Out.NextTs = std::move(M.NextTs);
+  Out.NextTsSet = std::move(M.NextTsSet);
+}
+
 void Monitor::extractState(EngineLaneState &Out) {
-  Out.PendingTs = PendingTs;
-  Out.CalcDone = CalcDoneForPending;
-  Out.Failed = Err.Failed;
-  Out.Error = std::move(Err.Message);
-  Out.NumFed = NumFed;
-  Out.NumOutputs = NumOutputs;
-  Out.NumCalcRuns = NumCalcRuns;
+  laneState(*this, Out);
   Out.InPlace = InPlaceStats;
-  Out.Cur = std::move(Cur);
-  Out.Present = std::move(Present);
-  Out.LastVal = std::move(LastVal);
-  Out.LastInit = std::move(LastInit);
-  Out.NextTs = std::move(NextTs);
-  Out.NextTsSet = std::move(NextTsSet);
 }
 
 void Monitor::snapshotState(EngineLaneState &Out) const {
-  Out.PendingTs = PendingTs;
-  Out.CalcDone = CalcDoneForPending;
-  Out.Failed = Err.Failed;
-  Out.Error = Err.Message;
-  Out.NumFed = NumFed;
-  Out.NumOutputs = NumOutputs;
-  Out.NumCalcRuns = NumCalcRuns;
   // In-place counters stay zero: they count this lane's updates, and a
   // snapshot has run none yet.
-  Out.Cur = Cur; // O(1) per slot: aggregate handles share structure
-  Out.Present = Present;
-  Out.LastVal = LastVal;
-  Out.LastInit = LastInit;
-  Out.NextTs = NextTs;
-  Out.NextTsSet = NextTsSet;
+  laneState(*this, Out);
 }
 
 void Monitor::visitValues(

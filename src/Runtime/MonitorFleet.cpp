@@ -187,38 +187,25 @@ struct MonitorFleet::Shard {
   // by the worker thread at run() start; at run() exit the lanes are
   // retired into Sessions so reporting is engine-agnostic. LaneOf is
   // unordered on purpose: the map is hit once per record, and the only
-  // iterations are donation (tie-breaks are timing-dependent anyway),
-  // the Auto engine switch (membership-only) and retirement, which
-  // re-orders through the Sessions map.
+  // iterations are donation (tie-breaks are timing-dependent anyway) and
+  // retirement, which re-orders through the Sessions map.
   std::unique_ptr<ShardEngine> Engine;
   std::unordered_map<SessionId, LaneRef> LaneOf;
-  // Auto-mode arrival observation: routed records and same-session run
-  // count over the first AutoObservationRecords records. The verdict is
-  // computed from exactly that prefix, so it is a deterministic
-  // function of the shard's record sequence (batch boundaries only
-  // affect *when* the switch executes, not what is decided).
-  bool AutoPending = false;
-  bool AutoDecided = false;
-  uint64_t AutoRecords = 0;
-  uint64_t AutoRuns = 0;
-  SessionId AutoLastSession = 0;
-  bool AutoHaveLast = false;
   ShardStats Stats;
 
   void run(MonitorFleet &F);
-  void routeRecord(MonitorFleet &F, EventRecord &R);
+  void routeRecord(EventRecord &R);
   void processBatch(MonitorFleet &F, EventBatch &B);
   void flushForwards(MonitorFleet &F);
   bool drainInbox(MonitorFleet &F);
   void maybeDonate(MonitorFleet &F);
   void postStealRequests(MonitorFleet &F);
-  void maybeSwitchEngine(MonitorFleet &F);
   void handleForkRequest(MonitorFleet &F, InboxMsg &Msg);
   void adoptFork(MonitorFleet &F, SessionId Dst, EngineLaneState Lane);
   void accumulateAggregateStats();
 };
 
-void MonitorFleet::Shard::routeRecord(MonitorFleet &F, EventRecord &R) {
+void MonitorFleet::Shard::routeRecord(EventRecord &R) {
   auto Fw = ForwardTo.find(R.Session);
   if (Fw != ForwardTo.end()) {
     // Stolen session: relay to its thief. This shard is the session's
@@ -226,16 +213,6 @@ void MonitorFleet::Shard::routeRecord(MonitorFleet &F, EventRecord &R) {
     ForwardBuf[Fw->second].Records.push_back(std::move(R));
     ++Stats.RecordsForwarded;
     return;
-  }
-  if (AutoPending && !AutoDecided) {
-    ++AutoRecords;
-    if (!AutoHaveLast || R.Session != AutoLastSession) {
-      ++AutoRuns;
-      AutoLastSession = R.Session;
-      AutoHaveLast = true;
-    }
-    if (AutoRecords >= F.Opts.AutoObservationRecords)
-      AutoDecided = true; // verdict executes at the next batch boundary
   }
   auto [It, New] = LaneOf.try_emplace(R.Session, LaneRef{});
   if (New)
@@ -248,7 +225,7 @@ void MonitorFleet::Shard::routeRecord(MonitorFleet &F, EventRecord &R) {
 void MonitorFleet::Shard::processBatch(MonitorFleet &F, EventBatch &B) {
   ++Stats.BatchesDrained;
   for (EventRecord &R : B.Records)
-    routeRecord(F, R);
+    routeRecord(R);
   // Buffering engines only buffer here: the pump runs once the ring
   // merge loop has drained every immediately available batch, so one
   // lockstep sweep covers all sessions with work — the wider the sweep,
@@ -294,10 +271,10 @@ bool MonitorFleet::Shard::drainInbox(MonitorFleet &F) {
     } else if (Msg.Lane) {
       // Whole-lane hand-off. The FIFO inbox guarantees it precedes any
       // records the home shard forwards afterwards. The snapshot is
-      // engine-agnostic, so the thief's engine need not match the
-      // victim's (Auto shards decide independently). Checkpoint-restored
-      // lanes arrive on their home shard: not pinned, not a steal; the
-      // adoption count releases the restore() caller.
+      // engine-agnostic, so a checkpoint another engine wrote restores
+      // here too. Checkpoint-restored lanes arrive on their home shard:
+      // not pinned, not a steal; the adoption count releases the
+      // restore() caller.
       assert(!LaneOf.count(Msg.Session) &&
              "restore/steal of a session already live on this shard");
       if (!Msg.Restored)
@@ -310,7 +287,7 @@ bool MonitorFleet::Shard::drainInbox(MonitorFleet &F) {
       }
     } else {
       for (EventRecord &R : Msg.Records.Records)
-        routeRecord(F, R);
+        routeRecord(R);
       QueueDepth.fetch_sub(static_cast<int64_t>(Msg.Records.Records.size()),
                            std::memory_order_relaxed);
     }
@@ -384,26 +361,6 @@ void MonitorFleet::Shard::postStealRequests(MonitorFleet &F) {
                                             static_cast<int>(Index),
                                             std::memory_order_relaxed);
   }
-}
-
-/// Auto mode: executes the arrival-pattern verdict at a batch boundary
-/// (all lanes idle after the pump). Interleaved traffic keeps the
-/// batched engine; chunky replay migrates every lane — through the same
-/// extractLane/insertLane contract work stealing uses — into a fresh
-/// per-session engine.
-void MonitorFleet::Shard::maybeSwitchEngine(MonitorFleet &F) {
-  if (!AutoPending || !AutoDecided)
-    return;
-  AutoPending = false;
-  double MeanRun = static_cast<double>(AutoRecords) /
-                   static_cast<double>(std::max<uint64_t>(AutoRuns, 1));
-  if (MeanRun < F.Opts.AutoChunkThreshold)
-    return; // interleaved: stay batched
-  std::unique_ptr<ShardEngine> Next =
-      makePerSessionEngine(F.Prog, F.Opts.CollectOutputs);
-  for (auto &[Id, LR] : LaneOf)
-    LR.Lane = Next->insertLane(Engine->extractLane(LR.Lane));
-  Engine = std::move(Next);
 }
 
 /// Executes a fork request on the shard that currently runs the source
@@ -500,7 +457,6 @@ void MonitorFleet::Shard::run(MonitorFleet &F) {
     Engine = makeBatchedEngine(F.Prog, F.Opts.CollectOutputs);
     break;
   }
-  AutoPending = F.AutoMode;
   std::vector<char> LaneClosed(F.Opts.MaxProducers, 0);
   unsigned ClosedLanes = 0;
   bool Announced = false;
@@ -568,7 +524,6 @@ void MonitorFleet::Shard::run(MonitorFleet &F) {
     // record) has been routed into lane queues; one wide lockstep pump
     // executes them all. O(dirty lanes) — free when nothing arrived.
     Engine->pump();
-    maybeSwitchEngine(F);
 
     if (F.Finishing.load(std::memory_order_acquire) &&
         ClosedLanes == F.LaneCount.load(std::memory_order_acquire)) {
@@ -695,10 +650,8 @@ MonitorFleet::MonitorFleet(const Program &Prog_, FleetOptions Opts_)
   if (Opts.StealBacklog == 0)
     Opts.StealBacklog = 4 * Opts.BatchSize;
   // A fleet serves exactly one Program, so every session shares a spec
-  // and Auto starts every shard on the batched engine; the per-shard
-  // arrival heuristic may migrate a shard to per-session later.
-  AutoMode = Opts.Mode == FleetMode::Auto;
-  Mode = AutoMode ? FleetMode::Batched : Opts.Mode;
+  // and Auto runs every shard on the batched engine.
+  Mode = Opts.Mode == FleetMode::Auto ? FleetMode::Batched : Opts.Mode;
   if (Mode == FleetMode::Native && !Opts.NativeFactory) {
     Mode = FleetMode::PerSession;
     EngineFallback = "native engine unavailable: no NativeFactory "

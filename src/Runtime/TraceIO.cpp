@@ -7,6 +7,7 @@
 #include "tessla/Runtime/TraceIO.h"
 
 #include "tessla/Runtime/Containers.h"
+#include "tessla/Runtime/RecordCheck.h"
 #include "tessla/Support/Format.h"
 
 using namespace tessla;
@@ -267,6 +268,17 @@ tessla::parseTrace(std::string_view Text, const Spec &S,
     auto V = parseValueLiteral(Rest.substr(Equal + 1));
     if (!V) {
       Diags.error(Loc, "invalid value literal");
+      continue;
+    }
+    // An integral Float renders without a decimal point, so a Float
+    // input's literal may read as an Int.
+    const Type &Ty = S.stream(*Id).Ty;
+    if (Ty.kind() == TypeKind::Float && V->kind() == Value::Kind::Int)
+      V = Value::floating(static_cast<double>(V->getInt()));
+    if (!conformsTo(Ty, *V)) {
+      Diags.error(Loc, formatString("input '%.*s': %s",
+                                    static_cast<int>(Name.size()), Name.data(),
+                                    mistypedMessage(Ty, *V).c_str()));
       continue;
     }
     Events.emplace_back(*Id, Ts, std::move(*V));

@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 // The native tier dlopen()s code built by the *system* compiler, which
 // carries no sanitizer instrumentation. TSan in particular cannot model
@@ -84,6 +85,23 @@ std::string sequentialReference(const Program &Plan,
       Out += renderLine(Plan.spec(), Session, E);
   }
   return Out;
+}
+
+/// Calculation runs of every session through its own sequential Monitor:
+/// the per-lane runs a batched fleet spreads over its lockstep sweeps,
+/// whatever the migration.
+uint64_t sequentialCalcRuns(const Program &Plan,
+                            const std::vector<CorpusRecord> &Records) {
+  std::map<SessionId, Monitor> PerSession;
+  for (const CorpusRecord &R : Records)
+    PerSession.try_emplace(R.Session, Plan)
+        .first->second.feed(*Plan.spec().lookup(R.Input), R.Ts, R.V);
+  uint64_t Runs = 0;
+  for (auto &[Session, M] : PerSession) {
+    M.finish();
+    Runs += M.calcRuns();
+  }
+  return Runs;
 }
 
 /// Migration-hostile fleet shape: 4 shards but every session pinned to
@@ -175,20 +193,32 @@ interleave(const Spec &S, const std::vector<SessionId> &Sessions,
 /// per-session fleet == sequential reference, byte for byte. On
 /// mismatch, shrinks the pair and reports the repro. \returns false on
 /// failure so the caller can stop the sweep.
+/// Counters the corpus sums to prove its axes ran: steals, in-place
+/// hits, and per-lane calculation runs against the lockstep sweeps that
+/// executed them (more runs than sweeps means some sweep was wide).
+struct CorpusCounts {
+  uint64_t Steals = 0;
+  uint64_t Hits = 0;
+  uint64_t LaneRuns = 0;
+  uint64_t Sweeps = 0;
+};
+
 bool checkOneConfig(uint64_t Seed, const Spec &S,
                     const std::vector<CorpusRecord> &Records,
                     Config Cfg, const char *TestBinary,
-                    uint64_t *StealsOut, uint64_t *HitsOut,
-                    size_t *OutputBytes) {
+                    CorpusCounts *Counts, size_t *OutputBytes) {
   Program Plan = compileOrDie(S, Cfg.Optimize, Cfg.OptLevel);
   std::string Reference = sequentialReference(Plan, Records);
   FleetStats Stats;
   std::string Batched = fleetRun(Plan, Records, FleetMode::Batched, &Stats);
   std::string PerSession = fleetRun(Plan, Records, FleetMode::PerSession);
-  if (StealsOut)
-    *StealsOut += Stats.totalSessionsStolen();
-  if (HitsOut)
-    *HitsOut += Stats.totalInPlaceHits();
+  if (Counts) {
+    Counts->Steals += Stats.totalSessionsStolen();
+    Counts->Hits += Stats.totalInPlaceHits();
+    Counts->LaneRuns += sequentialCalcRuns(Plan, Records);
+    for (const ShardStats &Sh : Stats.Shards)
+      Counts->Sweeps += Sh.LockstepSweeps;
+  }
   if (OutputBytes)
     *OutputBytes += Reference.size();
   if (Batched == Reference && PerSession == Reference)
@@ -222,14 +252,16 @@ bool checkOneConfig(uint64_t Seed, const Spec &S,
 
 // The headline property: >= 50 random specs (queue ops always on, delay
 // streams on every third seed) x both mutability modes x -O0/-O1, under
-// forced lane migration. Guards vacuity three ways: outputs nonempty,
-// steals actually happened, and in-place updates of the batched engine
-// actually took the destructive tier somewhere in the corpus.
+// forced lane migration. Both engines run the same calculation kernel,
+// so this proves lane scheduling, layout and migration rather than
+// opcode semantics. Guards vacuity four ways: outputs nonempty, steals
+// actually happened, in-place updates of the batched engine actually
+// took the destructive tier somewhere in the corpus, and some sweep ran
+// more than one lane.
 TEST(BatchedDifferentialTest, CorpusByteIdenticalUnderMigration) {
   const uint64_t Seed0 = corpusSeed();
   const size_t NumSpecs = corpusSpecs(50);
-  uint64_t Steals = 0;
-  uint64_t TotalHits = 0;
+  CorpusCounts Counts;
   size_t OutputBytes = 0;
   for (uint64_t Seed = Seed0; Seed != Seed0 + NumSpecs; ++Seed) {
     RandomSpecOptions Opts;
@@ -248,16 +280,19 @@ TEST(BatchedDifferentialTest, CorpusByteIdenticalUnderMigration) {
 
     for (Config Cfg : Configs)
       if (!checkOneConfig(Seed, S, Records, Cfg,
-                          "integration_batched_differential_test",
-                          &Steals, &TotalHits, &OutputBytes))
+                          "integration_batched_differential_test", &Counts,
+                          &OutputBytes))
         return; // one shrunken repro beats 50 raw failures
   }
   EXPECT_GT(OutputBytes, 0u) << "vacuous comparison";
-  EXPECT_GT(Steals, 0u)
+  EXPECT_GT(Counts.Steals, 0u)
       << "no lane was ever migrated; the migration axis is vacuous";
-  EXPECT_GT(TotalHits, 0u)
+  EXPECT_GT(Counts.Hits, 0u)
       << "no batched in-place update took the destructive tier; the "
          "mutability axis is vacuous";
+  EXPECT_GT(Counts.LaneRuns, Counts.Sweeps)
+      << "no lockstep sweep ran more than one lane; the batching axis is "
+         "vacuous";
 }
 
 // The three-way tentpole property: >= 50 random specs x -O0/-O1, each
@@ -276,12 +311,35 @@ TEST(BatchedDifferentialTest, CorpusThreeWayNativeByteIdentical) {
   const uint64_t Seed0 = corpusSeed();
   const size_t NumSpecs = corpusSpecs(50);
   size_t OutputBytes = 0;
+  std::set<Opcode> Ran; // every opcode some compiled program executes
+  // The random corpus, then a fixed spec over the same inputs (a, b)
+  // whose -O0 and -O1 programs hold every opcode between them, so the
+  // guard below holds at any corpus width.
+  std::vector<std::pair<uint64_t, Spec>> Corpus;
   for (uint64_t Seed = Seed0; Seed != Seed0 + NumSpecs; ++Seed) {
     RandomSpecOptions Opts;
     Opts.WithQueueOps = true;
     Opts.WithDelay = Seed % 3 == 0;
-    Spec S = randomSpec(Seed, Opts);
-
+    Corpus.emplace_back(Seed, randomSpec(Seed, Opts));
+  }
+  Corpus.emplace_back(Seed0 + NumSpecs, parseOrDie(R"(
+    in a: Int
+    in b: Int
+    def prev := last(merge(s, setEmpty()), merge(a, b))
+    def s := setUpdate(prev, a, b)
+    def n := setSize(s) + 1
+    def big := filter(a, a > 3)
+    def da := last(a, a) - a
+    def sq := abs(b) * b
+    def d := delay(time(b), b)
+    def dt := time(d)
+    out n
+    out big
+    out da
+    out sq
+    out dt
+  )"));
+  for (const auto &[Seed, S] : Corpus) {
     std::vector<std::vector<TraceEvent>> Traces;
     for (unsigned Session = 0; Session != 4; ++Session)
       Traces.push_back(randomSpecTrace(S, 60, Seed * 10007 + Session));
@@ -294,6 +352,8 @@ TEST(BatchedDifferentialTest, CorpusThreeWayNativeByteIdentical) {
     // paths face the reference) while sweeping the -O0/-O1 axis.
     for (Config Cfg : {Config{Seed % 2 == 0, 0}, Config{Seed % 2 == 0, 1}}) {
       Program Plan = compileOrDie(S, Cfg.Optimize, Cfg.OptLevel);
+      for (const ProgramStep &Step : Plan.steps())
+        Ran.insert(Step.Op);
       std::string NativeErr;
       std::shared_ptr<NativeMonitorLibrary> Lib =
           compileNative(Plan, NativeCompileOptions(), NativeErr);
@@ -338,6 +398,12 @@ TEST(BatchedDifferentialTest, CorpusThreeWayNativeByteIdentical) {
     }
   }
   EXPECT_GT(OutputBytes, 0u) << "vacuous comparison";
+  // This corpus and the parity suites are the checks that share no code
+  // with the interpreters' calculation kernel; each opcode must face
+  // the native tier somewhere.
+  for (uint8_t Op = 0; Op <= static_cast<uint8_t>(Opcode::FusedLiftLift); ++Op)
+    EXPECT_TRUE(Ran.count(static_cast<Opcode>(Op)))
+        << "no corpus program contains opcode " << unsigned(Op);
 }
 
 // Mid-stream joins: sessions enter one by one while earlier lanes are
@@ -368,8 +434,8 @@ TEST(BatchedDifferentialTest, MidStreamJoinsByteIdentical) {
 
     for (Config Cfg : {Config{true, 1}, Config{false, 0}})
       if (!checkOneConfig(Seed, S, Records, Cfg,
-                          "integration_batched_differential_test",
-                          nullptr, nullptr, &OutputBytes))
+                          "integration_batched_differential_test", nullptr,
+                          &OutputBytes))
         return;
   }
   EXPECT_GT(OutputBytes, 0u) << "vacuous comparison";

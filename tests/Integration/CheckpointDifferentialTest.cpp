@@ -6,7 +6,8 @@
 ///
 /// The checkpoint/restore headline property: run-to-T + suspend +
 /// serialize (`.tcp`) + load + restore into a fleet of a *different*
-/// shard count + run-to-end is byte-identical to an uninterrupted run —
+/// shard count, on the same or the other interpreting engine, +
+/// run-to-end is byte-identical to an uninterrupted run —
 /// proven differentially over a randomized corpus (delay, queue and map
 /// builtins; -O0 and -O1) under the migration-hostile fleet shape
 /// (every session pinned to one home shard, tiny rings, hair-trigger
@@ -61,13 +62,14 @@ std::string sequentialReference(const Program &Plan,
 
 /// Migration-hostile shape (same as BatchedDifferentialTest): sessions
 /// pin to shard 0, idle peers steal, tiny batches and rings.
-FleetOptions hostileOptions(unsigned Shards) {
+FleetOptions hostileOptions(unsigned Shards,
+                            FleetMode Mode = FleetMode::PerSession) {
   FleetOptions Opts;
   Opts.Shards = Shards;
   Opts.BatchSize = 4;
   Opts.QueueCapacity = 4;
   Opts.StealBacklog = 1;
-  Opts.Mode = FleetMode::PerSession;
+  Opts.Mode = Mode;
   return Opts;
 }
 
@@ -127,19 +129,20 @@ std::string takeRendered(MonitorFleet &Fleet, const Spec &S) {
 }
 
 /// The interrupted run: feed the first \p SplitAt records into a
-/// 4-shard hostile fleet, suspend, serialize, load, restore into a
-/// 2-shard hostile fleet, feed the rest, finish. \returns the rendered
-/// full trace, or nullopt (with a test failure recorded) on any stage
-/// error.
+/// 4-shard hostile fleet running engine \p From, suspend, serialize,
+/// load, restore into a 2-shard hostile fleet running engine \p To, feed
+/// the rest, finish. \returns the rendered full trace, or nullopt (with
+/// a test failure recorded) on any stage error.
 std::optional<std::string>
 migratedRun(const Program &Plan, const std::vector<CorpusRecord> &Records,
-            size_t SplitAt, uint64_t *StealsOut) {
+            size_t SplitAt, uint64_t *StealsOut, FleetMode From,
+            FleetMode To) {
   std::vector<CorpusRecord> Head(Records.begin(),
                                  Records.begin() + SplitAt);
   std::vector<CorpusRecord> Tail(Records.begin() + SplitAt,
                                  Records.end());
 
-  MonitorFleet FleetA(Plan, hostileOptions(4));
+  MonitorFleet FleetA(Plan, hostileOptions(4, From));
   feedAll(FleetA, Plan, Head);
   std::string Err;
   FleetCheckpoint C;
@@ -161,7 +164,7 @@ migratedRun(const Program &Plan, const std::vector<CorpusRecord> &Records,
     return std::nullopt;
   }
 
-  MonitorFleet FleetB(Plan, hostileOptions(2));
+  MonitorFleet FleetB(Plan, hostileOptions(2, To));
   if (!FleetB.restore(std::move(Loaded->Lanes))) {
     ADD_FAILURE() << "restore rejected";
     FleetB.finish();
@@ -178,15 +181,13 @@ migratedRun(const Program &Plan, const std::vector<CorpusRecord> &Records,
   return takeRendered(FleetB, Plan.spec());
 }
 
-} // namespace
-
-// The acceptance property: >= 30 random specs (queue/map ops always on,
-// delay streams on every third seed) x -O0/-O1, each cut at a
-// mid-stream point, checkpointed out of a 4-shard fleet and resumed in
-// a 2-shard fleet, byte-identical to the sequential reference. Guards
-// vacuity: outputs nonempty, suspended lanes nonempty, steals happened
-// on the hostile shape.
-TEST(CheckpointDifferentialTest, CorpusByteIdenticalAcrossMigration) {
+/// The corpus behind the acceptance property: >= 30 random specs (queue
+/// and map ops always on, delay streams on every third seed) x
+/// -O0/-O1, each cut at a mid-stream point, checkpointed out of a
+/// 4-shard fleet running \p From and resumed in a 2-shard fleet running
+/// \p To, byte-identical to the sequential reference. Guards vacuity:
+/// outputs nonempty, steals happened on the hostile shape.
+void checkCorpus(FleetMode From, FleetMode To) {
   const uint64_t Seed0 = corpusSeed();
   const size_t NumSpecs = corpusSpecs(30);
   uint64_t Steals = 0;
@@ -212,7 +213,7 @@ TEST(CheckpointDifferentialTest, CorpusByteIdenticalAcrossMigration) {
     for (unsigned OptLevel : {0u, 1u}) {
       Program Plan = compileOrDie(S, /*Optimize=*/true, OptLevel);
       std::string Reference = sequentialReference(Plan, Records);
-      auto Migrated = migratedRun(Plan, Records, SplitAt, &Steals);
+      auto Migrated = migratedRun(Plan, Records, SplitAt, &Steals, From, To);
       if (!Migrated)
         return;
       if (*Migrated != Reference) {
@@ -229,6 +230,27 @@ TEST(CheckpointDifferentialTest, CorpusByteIdenticalAcrossMigration) {
   EXPECT_GT(OutputBytes, 0u) << "vacuous comparison";
   EXPECT_GT(Steals, 0u)
       << "no lane was ever migrated; the migration axis is vacuous";
+}
+
+} // namespace
+
+TEST(CheckpointDifferentialTest, CorpusByteIdenticalAcrossMigration) {
+  checkCorpus(FleetMode::PerSession, FleetMode::PerSession);
+}
+
+// A checkpoint is engine-agnostic: lanes a batched fleet wrote resume in
+// a per-session fleet and the reverse, and the service's default
+// (batched on both sides) round-trips too.
+TEST(CheckpointDifferentialTest, CorpusByteIdenticalAcrossEngines) {
+  for (auto [From, To] : {std::pair{FleetMode::Batched, FleetMode::PerSession},
+                          std::pair{FleetMode::PerSession, FleetMode::Batched},
+                          std::pair{FleetMode::Batched, FleetMode::Batched}}) {
+    SCOPED_TRACE(std::string(From == FleetMode::Batched ? "batched"
+                                                        : "per-session") +
+                 " -> " +
+                 (To == FleetMode::Batched ? "batched" : "per-session"));
+    checkCorpus(From, To);
+  }
 }
 
 // The empty edge: checkpoint a fleet that never saw a record, restore,

@@ -263,6 +263,49 @@ TEST(NativeEngineTest, FeedValidationMatchesMonitor) {
   EXPECT_GT(Engine->laneOutputEvents(1), 0u);
 }
 
+// A mistyped record fails only its own native lane with the typed
+// message of the interpreting engines; the host check stops it before
+// the shim would read a String as an Int.
+TEST(NativeEngineTest, MistypedRecordFailsOnlyItsSession) {
+  Spec S = parseOrDie(QueueTrimSpec);
+  Program P = compileOrDie(S);
+  StreamId X = *S.lookup("x");
+  NativeCompileOptions Opts;
+  Opts.CacheDir = freshDir("mistyped");
+  std::string Error;
+  auto Lib = compileNative(P, Opts, Error);
+  if (!Lib)
+    GTEST_SKIP() << "native tier unavailable: " << Error;
+  std::vector<TraceEvent> Good;
+  for (Time Ts = 1; Ts != 20; ++Ts)
+    Good.push_back({X, Ts, Value::integer(Ts % 4)});
+
+  FleetOptions FOpts;
+  FOpts.Shards = 2;
+  FOpts.Mode = FleetMode::Native;
+  FOpts.NativeFactory = makeNativeEngineFactory(Lib);
+  MonitorFleet Fleet(P, FOpts);
+  ProducerHandle Prod = Fleet.producer();
+  for (const auto &[Id, Ts, V] : Good) {
+    for (SessionId Session : {0, 1})
+      EXPECT_TRUE(Prod.feed(Session, Id, Ts, V));
+    Prod.feed(2, X, Ts, Ts == 2 ? Value::string("abc") : V);
+  }
+  Prod.close();
+  Fleet.finish();
+  std::vector<SessionError> Errors = Fleet.errors();
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_EQ(Errors[0].Session, 2u);
+  EXPECT_EQ(Errors[0].Message, "at t=2, stream 'x': expected Int, got String");
+  std::string Reference = formatOutputs(S, runMonitor(P, Good));
+  std::string Healthy[2];
+  for (const SessionOutputEvent &E : Fleet.takeOutputs())
+    if (E.Session < 2)
+      Healthy[E.Session] += formatEvent(S, E.Event) + "\n";
+  EXPECT_EQ(Healthy[0], Reference);
+  EXPECT_EQ(Healthy[1], Reference);
+}
+
 #endif // !TESSLA_TSAN
 
 TEST(NativeEngineTest, FleetNativeModeWithoutFactoryFallsBack) {

@@ -150,6 +150,51 @@ TEST(FleetServiceTest, RemoteMatchesInProcessByteForByte) {
   EXPECT_EQ(runWorkload(*Remote, P.spec(), X, Recs, 2), Reference);
 }
 
+// A mistyped record that arrives over the wire fails only its session
+// on the server's fleet (either interpreting engine); the server keeps
+// serving, and the other sessions' outputs match an in-process run of
+// their records alone.
+TEST(FleetServiceTest, MistypedRecordFailsOnlyItsSessionOverTheWire) {
+  Program P = compileOrDie(parseOrDie(QueueTrimSpec));
+  StreamId X = *P.spec().lookup("x");
+  std::vector<Rec> Recs = workloadTrace(4, 20);
+  std::vector<Rec> Healthy;
+  for (const Rec &R : Recs)
+    if (R.Session != 3)
+      Healthy.push_back(R);
+  for (FleetMode Mode : {FleetMode::PerSession, FleetMode::Batched}) {
+    FleetOptions Opts;
+    Opts.Shards = 2;
+    Opts.Mode = Mode;
+    auto InProc = makeInProcessClient(P, Opts);
+    std::string Reference = runWorkload(*InProc, P.spec(), X, Healthy, 1);
+    ASSERT_FALSE(Reference.empty());
+
+    PipeServer Server(P, Opts);
+    std::string Err;
+    auto Remote = makeRemoteClient(Server.dialer(), &Err);
+    ASSERT_TRUE(Remote) << Err;
+    auto Prod = Remote->producer(&Err);
+    ASSERT_TRUE(Prod) << Err;
+    for (const Rec &R : Recs)
+      ASSERT_TRUE(Prod->feed(R.Session, X, R.Ts,
+                             R.Session == 3 && R.Ts == 2
+                                 ? Value::string("abc")
+                                 : Value::integer(R.V)))
+          << Prod->error();
+    ASSERT_TRUE(Prod->close()) << Prod->error();
+    auto Finished = Remote->finish(&Err);
+    ASSERT_TRUE(Finished) << Err;
+    EXPECT_EQ(Finished->FailedSessions, 1u);
+    std::string Out;
+    for (const SessionOutputEvent &E : Finished->Outputs)
+      if (E.Session != 3)
+        Out += "s" + std::to_string(E.Session) + "| " +
+               formatEvent(P.spec(), E.Event) + "\n";
+    EXPECT_EQ(Out, Reference);
+  }
+}
+
 TEST(FleetServiceTest, SnapshotRestoreOverTheWire) {
   Program P = compileOrDie(seenSet(), true, 1);
   StreamId X = *P.spec().lookup("x");

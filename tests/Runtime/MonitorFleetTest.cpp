@@ -210,6 +210,10 @@ TEST(MonitorFleetTest, StatsAccountForEveryEventAndSession) {
   EXPECT_GT(Batches, 0u);
   EXPECT_GE(HighWater, 1u);
   EXPECT_NE(Stats.str().find("shard 3"), std::string::npos);
+  // The default mode runs every shard batched, and the stats line names
+  // the engine for operators.
+  for (const ShardStats &Sh : Stats.Shards)
+    EXPECT_NE(Sh.str().find("engine=batched"), std::string::npos) << Sh.str();
 }
 
 TEST(MonitorFleetTest, SessionFailureIsIsolated) {
@@ -240,6 +244,47 @@ TEST(MonitorFleetTest, SessionFailureIsIsolated) {
       ++Session1Outputs;
   EXPECT_EQ(Session1Outputs, 2u);
   EXPECT_EQ(Fleet.stats().totalFailedSessions(), 1u);
+}
+
+// A mistyped record fails only its own session, with the typed message,
+// on both interpreting engines; the other sessions' outputs stay
+// byte-identical to their sequential runs.
+TEST(MonitorFleetTest, MistypedRecordFailsOnlyItsSession) {
+  Spec S = parseOrDie(QueueTrimSpec);
+  Program Plan = compileOrDie(S);
+  StreamId X = *S.lookup("x");
+  SessionTraces Good;
+  for (SessionId Session : {0, 1, 3})
+    Good[Session] = tracegen::randomInts(X, 30, 5, 40 + Session);
+  std::string Reference = sequentialReference(Plan, Good);
+  ASSERT_FALSE(Reference.empty());
+  for (FleetMode Mode : {FleetMode::PerSession, FleetMode::Batched}) {
+    FleetOptions Opts;
+    Opts.Shards = 2;
+    Opts.Mode = Mode;
+    MonitorFleet Fleet(Plan, Opts);
+    ProducerHandle P = Fleet.producer();
+    for (size_t I = 0; I != 30; ++I) {
+      for (const auto &[Session, Events] : Good) {
+        const auto &[Id, Ts, V] = Events[I];
+        EXPECT_TRUE(P.feed(Session, Id, Ts, V));
+      }
+      Time Ts = static_cast<Time>(I) + 1;
+      P.feed(2, X, Ts, Ts == 2 ? Value::string("abc") : Value::integer(2));
+    }
+    P.close();
+    Fleet.finish();
+    std::vector<SessionError> Errors = Fleet.errors();
+    ASSERT_EQ(Errors.size(), 1u);
+    EXPECT_EQ(Errors[0].Session, 2u);
+    EXPECT_EQ(Errors[0].Message,
+              "at t=2, stream 'x': expected Int, got String");
+    std::string Out;
+    for (const SessionOutputEvent &E : Fleet.takeOutputs())
+      if (E.Session != 2)
+        Out += renderLine(S, E.Session, E.Event);
+    EXPECT_EQ(Out, Reference);
+  }
 }
 
 TEST(MonitorFleetTest, FeedAfterFinishRejected) {
@@ -273,79 +318,4 @@ TEST(MonitorFleetTest, SessionPinningIsStable) {
   EXPECT_EQ(Histogram.size(), 8u);
   for (const auto &[Shard, N] : Histogram)
     EXPECT_GT(N, 60u) << "shard " << Shard << " is starved";
-}
-
-// FleetMode::Auto observes each shard's arrival pattern over a fixed
-// record prefix and re-decides the engine at a batch boundary: chunky
-// whole-trace replay (long same-session runs) migrates every lane into
-// a per-session engine; interleaved live traffic stays batched. The
-// verdict is a pure function of the shard's record sequence, so with a
-// single shard (no steals, no cross-shard routing) the switch-over is
-// exactly reproducible — and the outputs must stay byte-identical to
-// the sequential reference through the mid-run engine migration.
-TEST(MonitorFleetTest, AutoEngineSwitchOverIsDeterministic) {
-  Spec S = seenSet();
-  StreamId X = *S.lookup("x");
-  CompiledSpec C(S, /*Optimize=*/true);
-  SessionTraces Traces;
-  for (SessionId Session = 0; Session != 4; ++Session)
-    Traces[Session] = tracegen::randomInts(X, 80, 20, 900 + Session);
-  std::string Reference = sequentialReference(C.Plan, Traces);
-
-  auto autoRun = [&](bool Chunky) {
-    FleetOptions Opts;
-    Opts.Shards = 1; // one shard: the verdict sees every record
-    Opts.Mode = FleetMode::Auto;
-    Opts.AutoObservationRecords = 64; // decide well before the 320 records end
-    Opts.AutoChunkThreshold = 8.0;
-    MonitorFleet Fleet(C.Plan, Opts);
-    ProducerHandle P = Fleet.producer();
-    if (Chunky) {
-      for (const auto &[Session, Events] : Traces)
-        for (const auto &[Id, Ts, V] : Events)
-          EXPECT_TRUE(P.feed(Session, Id, Ts, V));
-    } else {
-      for (size_t I = 0; I != 80; ++I) // round-robin: runs of length 1
-        for (const auto &[Session, Events] : Traces) {
-          const auto &[Id, Ts, V] = Events[I];
-          EXPECT_TRUE(P.feed(Session, Id, Ts, V));
-        }
-    }
-    P.close();
-    Fleet.finish();
-    EXPECT_FALSE(Fleet.failed());
-    FleetStats Stats = Fleet.stats();
-    EXPECT_EQ(Stats.Shards.size(), 1u);
-    // Every toggle owned its session's set, and the per-lane counters
-    // survive the mid-run engine migration.
-    EXPECT_EQ(Stats.totalInPlaceHits(), 320u);
-    EXPECT_EQ(Stats.totalInPlaceMisses(), 0u);
-    EXPECT_NE(Stats.Shards[0].str().find("inplace-hits=320 inplace-misses=0"),
-              std::string::npos)
-        << Stats.Shards[0].str();
-    std::map<SessionId, std::vector<std::string>> Lines;
-    for (const SessionOutputEvent &E : Fleet.takeOutputs())
-      Lines[E.Session].push_back(renderLine(C.Plan.spec(), E.Session, E.Event));
-    std::string Out;
-    for (const auto &[Session, L] : Lines)
-      for (const std::string &Line : L)
-        Out += Line;
-    EXPECT_EQ(Out, Reference) << (Chunky ? "chunky" : "interleaved");
-    return Stats.Shards[0].Engine;
-  };
-
-  // Whole traces back to back: mean run length 80 >= 8 -> per-session.
-  EXPECT_EQ(autoRun(/*Chunky=*/true), "per-session");
-  // Strict round-robin: mean run length 1 < 8 -> stays batched.
-  EXPECT_EQ(autoRun(/*Chunky=*/false), "batched");
-  // The stats line carries the verdict for operators.
-  FleetOptions Opts;
-  Opts.Shards = 1;
-  Opts.Mode = FleetMode::Auto;
-  MonitorFleet Fleet(C.Plan, Opts);
-  ProducerHandle P = Fleet.producer();
-  P.feed(0, X, 1, Value::integer(1));
-  P.close();
-  Fleet.finish();
-  EXPECT_NE(Fleet.stats().str().find("engine="), std::string::npos);
 }

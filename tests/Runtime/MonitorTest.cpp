@@ -446,6 +446,53 @@ TEST(MonitorTest, RuntimeErrorsSurface) {
       << M.errorMessage();
 }
 
+// A record whose value does not have its input's declared type fails
+// the monitor with a typed error at its own timestamp, on both
+// interpreting engines, before any builtin reads it.
+TEST(MonitorTest, MistypedInputFailsWithATypedError) {
+  for (const Spec &S : {parseOrDie(QueueTrimSpec), seenSet()}) {
+    Program Plan = compileOrDie(S);
+    StreamId X = *S.lookup("x");
+    std::vector<TraceEvent> Events = {{X, 1, Value::integer(3)},
+                                      {X, 2, Value::string("abc")},
+                                      {X, 3, Value::integer(4)}};
+    std::string Error;
+    std::vector<OutputEvent> Out = runMonitor(Plan, Events, std::nullopt,
+                                              &Error);
+    EXPECT_EQ(Error, "at t=2, stream 'x': expected Int, got String");
+    // The record is rejected before t=1's calculation is flushed, as an
+    // out-of-order record would be.
+    EXPECT_TRUE(Out.empty());
+    BatchedMonitor B(Plan);
+    std::string BatchedError;
+    EXPECT_TRUE(
+        runEngineSingle(B, toBatch(Events), std::nullopt, &BatchedError)
+            .empty());
+    EXPECT_EQ(BatchedError, Error);
+  }
+}
+
+// Aggregate inputs are checked element by element.
+TEST(MonitorTest, MistypedAggregateInputFails) {
+  Spec S = parseOrDie("in s: Set[Int]\ndef n := setSize(s)\nout n");
+  Program Plan = compileOrDie(S);
+  StreamId In = *S.lookup("s");
+  auto SetOf = [](std::initializer_list<Value> Elems) {
+    Value Empty = Value::emptySet();
+    SetCow C = Empty.setCow(false);
+    for (const Value &E : Elems)
+      C.add(E);
+    return std::move(C).finish();
+  };
+  Value Good = SetOf({Value::integer(1)});
+  Value Bad = SetOf({Value::integer(1), Value::string("abc")});
+  std::string Error;
+  runMonitor(Plan, {{In, 1, Good}, {In, 2, Bad}}, std::nullopt, &Error);
+  EXPECT_EQ(Error, "at t=2, stream 's': expected Set[Int], got Set of String");
+  runMonitor(Plan, {{In, 1, Value::integer(1)}}, std::nullopt, &Error);
+  EXPECT_EQ(Error, "at t=1, stream 's': expected Set[Int], got Int");
+}
+
 TEST(MonitorTest, FeedAfterFinishRejected) {
   Spec S = parseOrDie("in a: Int\ndef t := time(a)\nout t");
   Program Plan = compileOrDie(S);

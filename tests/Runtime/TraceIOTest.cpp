@@ -69,6 +69,27 @@ TEST(TraceIOTest, RejectsMalformedLines) {
   }
 }
 
+// Records are checked against their input's declared type, with the
+// line of the offending record; an integral literal on a Float input
+// reads as a Float (an integral Float renders without a decimal point).
+TEST(TraceIOTest, ChecksValuesAgainstDeclaredTypes) {
+  Spec S = parseOrDie("in x: Int\nin p: Float\ndef t := time(x)\nout t");
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(parseTrace("1: x = 3\n2: x = \"abc\"\n", S, Diags));
+  EXPECT_NE(Diags.str().find("2:1"), std::string::npos) << Diags.str();
+  EXPECT_NE(Diags.str().find("input 'x': expected Int, got String"),
+            std::string::npos)
+      << Diags.str();
+  DiagnosticEngine Diags2;
+  EXPECT_FALSE(parseTrace("1: x = 2.5\n", S, Diags2)) << "no narrowing";
+  DiagnosticEngine Diags3;
+  auto Events = parseTrace("1: p = 2\n2: p = -7\n", S, Diags3);
+  ASSERT_TRUE(Events) << Diags3.str();
+  EXPECT_EQ(std::get<2>((*Events)[0]).kind(), Value::Kind::Float);
+  EXPECT_DOUBLE_EQ(std::get<2>((*Events)[0]).getFloat(), 2.0);
+  EXPECT_DOUBLE_EQ(std::get<2>((*Events)[1]).getFloat(), -7.0);
+}
+
 TEST(TraceIOTest, RoundTripThroughMonitor) {
   Spec S = parseOrDie("in i: Int\ndef x := i + i\nout x");
   DiagnosticEngine Diags;

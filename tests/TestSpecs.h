@@ -56,6 +56,14 @@ inline uint32_t mutableStreamCount(const Program &P) {
   return Count;
 }
 
+/// A spec whose Int input reaches a builtin accessor (queueTrim's
+/// length), so a value of another kind on `x` must be stopped at the
+/// record check, before the calculation runs.
+inline constexpr const char *QueueTrimSpec =
+    "in x: Int\n"
+    "def q := queueTrim(queueEnq(last(merge(q, queueEmpty()), x), 1), x)\n"
+    "out q\n";
+
 using workloads::dbAccessConstraint;
 using workloads::dbTimeConstraint;
 using workloads::figure1;

@@ -12,12 +12,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../TestSpecs.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <sys/wait.h>
 #include <unistd.h>
 #include <string>
 
@@ -130,6 +133,36 @@ TEST(TesslaRunTest, FleetEngineFlagsParity) {
   for (const char *Engine : {"--batched", "--per-session"})
     expectBundleParity(specsDir() + "/seen_set.tessla", Trace,
                        std::string("--fleet 2 --sessions 4 ") + Engine);
+}
+
+// A String on an Int input fails both tools with a typed, line-numbered
+// diagnostic and exit 1, sequentially and through a fleet — for a spec
+// whose builtins read the value and for one that only stores it.
+TEST(TesslaRunTest, MistypedTraceFailsWithATypedDiagnostic) {
+  std::string QueueSpec = tempPath("mistyped_queue.tessla");
+  writeFile(QueueSpec, tessla::testspecs::QueueTrimSpec);
+  std::string Trace = tempPath("mistyped_trace.txt");
+  writeFile(Trace, "1: x = 3\n2: x = \"abc\"\n");
+  for (const std::string &Spec :
+       {QueueSpec, specsDir() + "/seen_set.tessla"}) {
+    std::string Bundle = tempPath("mistyped.tpb");
+    ASSERT_EQ(run(std::string(TESSLAC_PATH) + " " + Spec +
+                  " --emit=tpb -o " + Bundle)
+                  .first,
+              0);
+    for (const std::string &Cmd :
+         {std::string(TESSLAC_PATH) + " " + Spec + " --run " + Trace,
+          std::string(TESSLA_RUN_PATH) + " " + Bundle + " --trace " + Trace +
+              " --fleet 2 --sessions 4"}) {
+      std::string Err;
+      int Rc = run(Cmd, &Err).first;
+      ASSERT_TRUE(WIFEXITED(Rc)) << Cmd;
+      EXPECT_EQ(WEXITSTATUS(Rc), 1) << Cmd << "\n" << Err;
+      EXPECT_NE(Err.find("2:1: input 'x': expected Int, got String"),
+                std::string::npos)
+          << Cmd << "\n" << Err;
+    }
+  }
 }
 
 TEST(TesslaRunTest, PlanPrintsLoadedProgram) {

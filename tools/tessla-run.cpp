@@ -74,10 +74,8 @@ void printUsage(const char *Argv0) {
       "                                    interpreter when no compiler\n"
       "                                    is available). Outputs are\n"
       "                                    byte-identical across engines.\n"
-      "                                    Default: batched with an\n"
-      "                                    arrival-pattern heuristic\n"
-      "                                    (fleet), interpreter\n"
-      "                                    (sequential)\n"
+      "                                    Default: batched (fleet),\n"
+      "                                    interpreter (sequential)\n"
       "  --batched | --per-session         aliases for --engine=batched /\n"
       "                                    --engine=interp\n"
       "  --plan                            print the loaded program\n"
