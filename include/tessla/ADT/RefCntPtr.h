@@ -12,7 +12,9 @@
 /// only mutates its own handles. Relaxed increments and acq-rel decrements
 /// keep the common (uncontended) case cheap; unique() uses an acquire load
 /// so a thread that observes count==1 also observes every write the last
-/// releasing thread made to the node.
+/// releasing thread made to the node. A new object's count starts at 1,
+/// which makeRefCnt's pointer adopts: creating an object costs no
+/// read-modify-write.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +33,7 @@ namespace tessla {
 template <typename Derived> class RefCountedBase {
 public:
   RefCountedBase() = default;
-  // Copies start with a fresh count.
+  // Copies start with a fresh count of 1.
   RefCountedBase(const RefCountedBase &) {}
   RefCountedBase &operator=(const RefCountedBase &) { return *this; }
 
@@ -49,18 +51,25 @@ protected:
   ~RefCountedBase() = default;
 
 private:
-  mutable std::atomic<uint32_t> RefCount{0};
+  mutable std::atomic<uint32_t> RefCount{1};
 };
+
+/// Tag for the RefCntPtr constructor that adopts a count the caller owns.
+struct AdoptRef {};
 
 /// Smart pointer for RefCountedBase-derived objects.
 template <typename T> class RefCntPtr {
 public:
   RefCntPtr() = default;
   RefCntPtr(std::nullptr_t) {}
+  /// Takes a new reference on \p P.
   explicit RefCntPtr(T *P) : Ptr(P) {
     if (Ptr)
       Ptr->retain();
   }
+  /// Takes over one count the caller owns on \p P (the inverse of
+  /// detach()).
+  RefCntPtr(T *P, AdoptRef) noexcept : Ptr(P) {}
   RefCntPtr(const RefCntPtr &Other) : Ptr(Other.Ptr) {
     if (Ptr)
       Ptr->retain();
@@ -118,9 +127,10 @@ private:
   T *Ptr = nullptr;
 };
 
-/// Allocates a T and wraps it; analogous to std::make_shared.
+/// Allocates a T and wraps it; analogous to std::make_shared. The new
+/// object's count starts at 1, and the pointer adopts it.
 template <typename T, typename... Args> RefCntPtr<T> makeRefCnt(Args &&...As) {
-  return RefCntPtr<T>(new T(std::forward<Args>(As)...));
+  return RefCntPtr<T>(new T(std::forward<Args>(As)...), AdoptRef{});
 }
 
 } // namespace tessla

@@ -6,46 +6,65 @@
 ///
 /// \file
 /// Persistent hash map/set as a bitmap-compressed hash-array mapped trie
-/// (HAMT), following Bagwell's "Ideal Hash Trees" and the compaction rules
-/// of Steindorfer & Vinju's CHAMP — the paper's references [24] and [25],
-/// and the structure behind Scala's immutable HashSet/HashMap that the
-/// paper's baseline monitors use.
+/// (HAMT) in Steindorfer & Vinju's CHAMP layout — Bagwell's "Ideal Hash
+/// Trees" and CHAMP are the paper's references [24] and [25], and the
+/// structure behind Scala's immutable HashSet/HashMap that the paper's
+/// baseline monitors use.
+///
+/// A node is one sized allocation: the intrusive count, a data bitmap, a
+/// node bitmap and an entry area. Inline entries (a set's elements, a
+/// map's key/value pairs) are packed from the front of the area in bit
+/// order and child pointers from its back, so an entry carries no tag —
+/// the two bitmaps say what each one is — and a set entry is the element
+/// alone. The gap between the two packs is capacity slack: an in-place
+/// insert fills it instead of reallocating the node.
 ///
 /// Updates copy the O(log32 n) path from the root and share everything
 /// else; old versions remain valid and unchanged. This "restructuring
 /// after a modification" is precisely the overhead the aggregate-update
-/// optimization removes for mutable variables (§V-A).
+/// optimization removes for mutable variables (§V-A). The transient
+/// operations (setMut/eraseMut/toggleMut) edit a node in place while this
+/// trie owns it alone — its count is 1 and so is every count above it on
+/// the path — and path-copy from the first shared node down, so a
+/// subtree reachable from any other root is never written. Erasing keeps
+/// the trie canonical: a subtree left with a single entry that is an
+/// element collapses into its parent, so equal contents have equal
+/// shapes whatever the history.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TESSLA_PERSISTENT_HAMT_H
 #define TESSLA_PERSISTENT_HAMT_H
 
-#include "tessla/ADT/RefCntPtr.h"
-
-#include <bit>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <new>
+#include <optional>
+#include <type_traits>
 #include <utility>
-#include <variant>
 #include <vector>
 
-// GCC's -Wmaybe-uninitialized mis-fires on std::vector::insert of variant
-// entries holding RefCntPtr alternatives (the element-shifting moves read
-// "uninitialized" freshly-grown slots). The code is sound; silence the
-// false positive for this header.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
 namespace tessla {
+
+namespace hamt_detail {
+/// Population count by bit tricks: std::popcount compiles to a libgcc
+/// call on baseline x86-64, which has no popcnt instruction, and the
+/// trie counts bits at every level of every walk.
+inline unsigned popcount(uint32_t X) {
+  X -= (X >> 1) & 0x55555555u;
+  X = (X & 0x33333333u) + ((X >> 2) & 0x33333333u);
+  X = (X + (X >> 4)) & 0x0f0f0f0fu;
+  return (X * 0x01010101u) >> 24;
+}
+} // namespace hamt_detail
 
 /// Persistent hash map with structural sharing. Copying is O(1).
 ///
 /// \tparam K key type (copyable, hashable via \p Hash, comparable via \p Eq)
-/// \tparam V mapped type (copyable)
+/// \tparam V mapped type (copyable; an empty type costs no bytes)
 template <typename K, typename V, typename Hash = std::hash<K>,
           typename Eq = std::equal_to<K>>
 class HamtMap {
@@ -55,431 +74,520 @@ class HamtMap {
   // hashes collide into a collision node.
   static constexpr unsigned MaxShift = 60;
 
-  struct Node;
-
   struct Leaf {
     K Key;
-    V Val;
+    [[no_unique_address]] V Val;
   };
 
-  // An entry of a bitmap node: inline key/value pair or a subtree.
-  using Entry = std::variant<Leaf, RefCntPtr<Node>>;
-
-  struct Node : RefCountedBase<Node> {
-    // Bitmap nodes: Bitmap has one bit per occupied branch and Entries is
-    // popcount(Bitmap) long. Collision nodes: Bitmap == 0, Collision true,
-    // all Entries are leaves whose keys share CollisionHash.
-    uint32_t Bitmap = 0;
-    bool Collision = false;
-    uint64_t CollisionHash = 0;
-    std::vector<Entry> Entries;
+  // The header of a node; the entry area of Cap bytes follows it in the
+  // same allocation. Bitmap nodes: popcount(DataMap) leaves from the
+  // front, popcount(NodeMap) child pointers (each owning one count) at
+  // the back, both in bit order. Collision nodes: DataMap leaves whose
+  // keys share one full hash, and no children.
+  struct Node {
+    mutable std::atomic<uint32_t> RefCount{1};
+    uint32_t Cap : 31;
+    uint32_t Collision : 1;
+    uint32_t DataMap;
+    uint32_t NodeMap;
   };
 
-  using NodePtr = RefCntPtr<Node>;
+  static constexpr size_t LeafBytes = sizeof(Leaf);
+  static constexpr size_t KidBytes = sizeof(Node *);
+  static constexpr size_t AreaAlign =
+      alignof(Leaf) > alignof(Node *) ? alignof(Leaf) : alignof(Node *);
+  static constexpr size_t HeaderBytes =
+      (sizeof(Node) + AreaAlign - 1) / AreaAlign * AreaAlign;
+  // A bitmap node never needs more than 32 entries of the larger kind.
+  static constexpr size_t MaxBitmapCap =
+      32 * (LeafBytes > KidBytes ? LeafBytes : KidBytes);
+  static_assert(AreaAlign <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "entries must fit the default allocation alignment");
 
-  NodePtr Root;
-  size_t Count = 0;
+  static constexpr size_t excess(size_t A, size_t B) {
+    return A > B ? A - B : 0;
+  }
 
-  HamtMap(NodePtr Root, size_t Count) : Root(std::move(Root)), Count(Count) {}
+  // --- Node storage ------------------------------------------------------
+
+  static char *area(const Node *N) {
+    return reinterpret_cast<char *>(const_cast<Node *>(N)) + HeaderBytes;
+  }
+  static Leaf *leaves(const Node *N) {
+    return reinterpret_cast<Leaf *>(area(N));
+  }
+  static Node **kids(const Node *N) {
+    return reinterpret_cast<Node **>(area(N) + N->Cap) -
+           hamt_detail::popcount(N->NodeMap);
+  }
+  static unsigned numLeaves(const Node *N) {
+    return N->Collision ? N->DataMap : hamt_detail::popcount(N->DataMap);
+  }
+  static unsigned numKids(const Node *N) {
+    return hamt_detail::popcount(N->NodeMap);
+  }
+  static size_t usedBytes(const Node *N) {
+    return numLeaves(N) * LeafBytes + numKids(N) * KidBytes;
+  }
+
+  /// A node with count 1, empty maps and at least \p Cap entry bytes.
+  static Node *allocNode(size_t Cap, bool Collision) {
+    Cap = (Cap + KidBytes - 1) / KidBytes * KidBytes; // align the kid pack
+    Node *N = ::new (::operator new(HeaderBytes + Cap)) Node;
+    N->Cap = static_cast<uint32_t>(Cap);
+    N->Collision = Collision;
+    N->DataMap = 0;
+    N->NodeMap = 0;
+    return N;
+  }
+  /// Frees \p N's storage; its entries must already be gone or moved.
+  static void freeNode(Node *N) {
+    size_t Bytes = HeaderBytes + N->Cap;
+    N->~Node();
+    ::operator delete(static_cast<void *>(N), Bytes);
+  }
+  static void destroyNode(Node *N) {
+    Leaf *L = leaves(N);
+    for (unsigned I = 0, E = numLeaves(N); I != E; ++I)
+      L[I].~Leaf();
+    Node **C = kids(N);
+    for (unsigned I = 0, E = numKids(N); I != E; ++I)
+      release(C[I]);
+    freeNode(N);
+  }
+
+  // Relaxed increments and acq-rel decrements, as RefCntPtr: the acquire
+  // load in unique() orders a sharer's last reads of a node (on any
+  // thread) before this trie's in-place writes to it.
+  static void retain(const Node *N) {
+    N->RefCount.fetch_add(1, std::memory_order_relaxed);
+  }
+  static void release(Node *N) {
+    assert(N->RefCount.load(std::memory_order_relaxed) > 0 && "over-release");
+    if (N->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      destroyNode(N);
+  }
+  static bool unique(const Node *N) {
+    return N->RefCount.load(std::memory_order_acquire) == 1;
+  }
+
+  /// A copy of \p N with \p Extra free bytes that holds its own counts:
+  /// leaves are copied and children retained, except child \p SkipKid,
+  /// whose pointer is copied without a count for the caller to replace.
+  static Node *clone(const Node *N, size_t Extra, int SkipKid = -1) {
+    Node *M = allocNode(usedBytes(N) + Extra, N->Collision);
+    M->DataMap = N->DataMap;
+    M->NodeMap = N->NodeMap;
+    const Leaf *SL = leaves(N);
+    Leaf *DL = leaves(M);
+    for (unsigned I = 0, E = numLeaves(N); I != E; ++I)
+      ::new (static_cast<void *>(DL + I)) Leaf(SL[I]);
+    Node *const *SK = kids(N);
+    Node **DK = kids(M);
+    for (unsigned I = 0, E = numKids(N); I != E; ++I) {
+      DK[I] = SK[I];
+      if (static_cast<int>(I) != SkipKid)
+        retain(SK[I]);
+    }
+    return M;
+  }
+
+  /// Makes room for \p Need more bytes in \p N, which this trie owns;
+  /// a full node is reallocated with half its capacity again as slack
+  /// (N is then freed). Returns the node to use.
+  static Node *reserve(Node *N, size_t Need) {
+    size_t Used = usedBytes(N);
+    if (N->Cap - Used >= Need)
+      return N;
+    size_t Want = Used + Need, Grown = N->Cap + N->Cap / 2;
+    if (!N->Collision && Grown > MaxBitmapCap)
+      Grown = MaxBitmapCap;
+    Node *M = allocNode(Want > Grown ? Want : Grown, N->Collision);
+    M->DataMap = N->DataMap;
+    M->NodeMap = N->NodeMap;
+    Leaf *SL = leaves(N), *DL = leaves(M);
+    for (unsigned I = 0, E = numLeaves(N); I != E; ++I)
+      relocate(DL + I, SL + I);
+    std::memcpy(kids(M), kids(N), numKids(N) * KidBytes);
+    freeNode(N);
+    return M;
+  }
+
+  /// Moves the leaf at \p Src into raw storage at \p Dst and ends Src.
+  static void relocate(Leaf *Dst, Leaf *Src) {
+    ::new (static_cast<void *>(Dst)) Leaf(std::move(*Src));
+    Src->~Leaf();
+  }
+
+  // In-place edits of a node this trie owns. The caller has reserved the
+  // room an insert needs.
+
+  static void insertLeaf(Node *N, uint32_t Bit, Leaf &&New) {
+    unsigned Len = hamt_detail::popcount(N->DataMap);
+    unsigned Idx = index(N->DataMap, Bit);
+    Leaf *L = leaves(N);
+    for (unsigned J = Len; J != Idx; --J)
+      relocate(L + J, L + J - 1);
+    ::new (static_cast<void *>(L + Idx)) Leaf(std::move(New));
+    N->DataMap |= Bit;
+  }
+  /// Ends leaf \p Idx of \p N (Len leaves) and closes the gap.
+  static void removeLeafAt(Node *N, unsigned Len, unsigned Idx) {
+    Leaf *L = leaves(N);
+    L[Idx].~Leaf();
+    for (unsigned J = Idx + 1; J < Len; ++J)
+      relocate(L + J - 1, L + J);
+  }
+  static void insertKid(Node *N, uint32_t Bit, Node *Kid) {
+    unsigned Idx = index(N->NodeMap, Bit);
+    Node **Old = kids(N);
+    std::memmove(Old - 1, Old, Idx * KidBytes);
+    N->NodeMap |= Bit;
+    kids(N)[Idx] = Kid;
+  }
+  /// Drops child slot \p Bit without releasing the pointer in it.
+  static void removeKid(Node *N, uint32_t Bit) {
+    unsigned Idx = index(N->NodeMap, Bit);
+    Node **Old = kids(N);
+    std::memmove(Old + 1, Old, Idx * KidBytes);
+    N->NodeMap &= ~Bit;
+  }
 
   static uint32_t bitpos(uint64_t HashValue, unsigned Shift) {
     return uint32_t{1} << ((HashValue >> Shift) & LevelMask);
   }
-  static unsigned sparseIndex(uint32_t Bitmap, uint32_t Bit) {
-    return std::popcount(Bitmap & (Bit - 1));
+  static unsigned index(uint32_t Bitmap, uint32_t Bit) {
+    return hamt_detail::popcount(Bitmap & (Bit - 1));
   }
 
-  static NodePtr singleLeafNode(Leaf L, uint64_t HashValue, unsigned Shift) {
-    NodePtr N = makeRefCnt<Node>();
-    N->Bitmap = bitpos(HashValue, Shift);
-    N->Entries.push_back(std::move(L));
+  static Node *singleLeafNode(Leaf &&L, uint64_t HashValue, unsigned Shift) {
+    Node *N = allocNode(LeafBytes, false);
+    ::new (static_cast<void *>(leaves(N))) Leaf(std::move(L));
+    N->DataMap = bitpos(HashValue, Shift);
     return N;
   }
 
   /// Builds the smallest subtree containing two distinct keys.
-  static NodePtr mergeLeaves(Leaf A, uint64_t HashA, Leaf B, uint64_t HashB,
-                             unsigned Shift) {
+  static Node *mergeLeaves(Leaf &&A, uint64_t HashA, Leaf &&B,
+                           uint64_t HashB, unsigned Shift) {
     if (Shift > MaxShift || HashA == HashB) {
       assert(HashA == HashB && "hash fragments exhausted before full hash");
-      NodePtr N = makeRefCnt<Node>();
-      N->Collision = true;
-      N->CollisionHash = HashA;
-      N->Entries.push_back(std::move(A));
-      N->Entries.push_back(std::move(B));
+      Node *N = allocNode(2 * LeafBytes, true);
+      ::new (static_cast<void *>(leaves(N))) Leaf(std::move(A));
+      ::new (static_cast<void *>(leaves(N) + 1)) Leaf(std::move(B));
+      N->DataMap = 2;
       return N;
     }
     uint32_t BitA = bitpos(HashA, Shift), BitB = bitpos(HashB, Shift);
-    NodePtr N = makeRefCnt<Node>();
     if (BitA == BitB) {
-      N->Bitmap = BitA;
-      N->Entries.push_back(mergeLeaves(std::move(A), HashA, std::move(B),
-                                       HashB, Shift + BitsPerLevel));
+      Node *N = allocNode(KidBytes, false);
+      N->NodeMap = BitA;
+      kids(N)[0] = mergeLeaves(std::move(A), HashA, std::move(B), HashB,
+                               Shift + BitsPerLevel);
       return N;
     }
-    N->Bitmap = BitA | BitB;
-    if (BitA < BitB) {
-      N->Entries.push_back(std::move(A));
-      N->Entries.push_back(std::move(B));
-    } else {
-      N->Entries.push_back(std::move(B));
-      N->Entries.push_back(std::move(A));
-    }
+    Node *N = allocNode(2 * LeafBytes, false);
+    N->DataMap = BitA | BitB;
+    // Leaves in bit order.
+    unsigned IdxA = BitA < BitB ? 0 : 1;
+    ::new (static_cast<void *>(leaves(N) + IdxA)) Leaf(std::move(A));
+    ::new (static_cast<void *>(leaves(N) + (IdxA ^ 1))) Leaf(std::move(B));
     return N;
   }
 
-  const V *findImpl(const Node *N, uint64_t HashValue, unsigned Shift,
-                    const K &Key) const {
-    while (N) {
+  const V *findImpl(const Node *N, uint64_t HashValue, const K &Key) const {
+    for (unsigned Shift = 0; N; Shift += BitsPerLevel) {
       if (N->Collision) {
-        if (N->CollisionHash != HashValue)
-          return nullptr;
-        for (const Entry &E : N->Entries) {
-          const Leaf &L = std::get<Leaf>(E);
-          if (Eq{}(L.Key, Key))
-            return &L.Val;
-        }
+        const Leaf *L = leaves(N);
+        for (unsigned I = 0; I != N->DataMap; ++I)
+          if (Eq{}(L[I].Key, Key))
+            return &L[I].Val;
         return nullptr;
       }
       uint32_t Bit = bitpos(HashValue, Shift);
-      if (!(N->Bitmap & Bit))
+      if (N->DataMap & Bit) {
+        const Leaf &L = leaves(N)[index(N->DataMap, Bit)];
+        return Eq{}(L.Key, Key) ? &L.Val : nullptr;
+      }
+      if (!(N->NodeMap & Bit))
         return nullptr;
-      const Entry &E = N->Entries[sparseIndex(N->Bitmap, Bit)];
-      if (const Leaf *L = std::get_if<Leaf>(&E))
-        return Eq{}(L->Key, Key) ? &L->Val : nullptr;
-      N = std::get<NodePtr>(E).get();
-      Shift += BitsPerLevel;
+      N = kids(N)[index(N->NodeMap, Bit)];
     }
     return nullptr;
   }
 
-  // Returns the new subtree; sets Added=true when the key was new.
-  static NodePtr insertImpl(const Node *N, uint64_t HashValue, unsigned Shift,
-                            Leaf NewLeaf, bool &Added) {
-    if (!N) {
-      Added = true;
-      return singleLeafNode(std::move(NewLeaf), HashValue, Shift);
-    }
-    if (N->Collision) {
-      if (N->CollisionHash == HashValue) {
-        NodePtr Copy = makeRefCnt<Node>(*N);
-        for (Entry &E : Copy->Entries) {
-          Leaf &L = std::get<Leaf>(E);
-          if (Eq{}(L.Key, NewLeaf.Key)) {
-            L.Val = std::move(NewLeaf.Val);
-            Added = false;
-            return Copy;
-          }
-        }
-        Copy->Entries.push_back(std::move(NewLeaf));
-        Added = true;
-        return Copy;
-      }
-      // Hashes differ: split by pushing the collision node one level down.
-      // (Can only happen when Shift <= MaxShift, since equal 64-bit hashes
-      // are required to reach a collision node below MaxShift.)
-      NodePtr Parent = makeRefCnt<Node>();
-      Parent->Bitmap = bitpos(N->CollisionHash, Shift);
-      Parent->Entries.push_back(NodePtr(const_cast<Node *>(N)));
-      return insertImpl(Parent.get(), HashValue, Shift, std::move(NewLeaf),
-                        Added);
-    }
-    uint32_t Bit = bitpos(HashValue, Shift);
-    unsigned Idx = sparseIndex(N->Bitmap, Bit);
-    NodePtr Copy = makeRefCnt<Node>(*N);
-    if (!(N->Bitmap & Bit)) {
-      Copy->Bitmap |= Bit;
-      Copy->Entries.insert(Copy->Entries.begin() + Idx, std::move(NewLeaf));
-      Added = true;
-      return Copy;
-    }
-    Entry &E = Copy->Entries[Idx];
-    if (Leaf *L = std::get_if<Leaf>(&E)) {
-      if (Eq{}(L->Key, NewLeaf.Key)) {
-        L->Val = std::move(NewLeaf.Val);
-        Added = false;
-        return Copy;
-      }
-      // Move the existing leaf out before overwriting the variant slot it
-      // lives in.
-      Leaf Existing = std::move(*L);
-      uint64_t ExistingHash = Hash{}(Existing.Key);
-      E = mergeLeaves(std::move(Existing), ExistingHash, std::move(NewLeaf),
-                      HashValue, Shift + BitsPerLevel);
-      Added = true;
-      return Copy;
-    }
-    E = insertImpl(std::get<NodePtr>(E).get(), HashValue,
-                   Shift + BitsPerLevel, std::move(NewLeaf), Added);
-    return Copy;
-  }
+  // --- Updates: one walker for every tier and operation -------------------
 
-  // Result of a recursive erase: unchanged, removed-with-new-subtree,
-  // removed-and-collapsed-to-single-leaf, or removed-and-now-empty.
-  struct EraseResult {
-    bool Removed = false;
-    bool IsLeaf = false;
-    bool Empty = false;
-    NodePtr N;
-    Leaf L{};
+  enum class Op : uint8_t { Insert, Erase, Toggle };
+
+  /// What an update did to one subtree.
+  enum class Change : uint8_t {
+    None,     // nothing: Erase of an absent key, Insert of a set element
+              // already there
+    Replaced, // Insert of a present key: its value replaced
+    Added,
+    Removed,  // the subtree is still a node
+    Lifted,   // removed, and the subtree shrank to the one leaf in Lift
+    Emptied,  // removed the last entry (the root only)
   };
 
-  static EraseResult eraseImpl(const Node *N, uint64_t HashValue,
-                               unsigned Shift, const K &Key) {
-    EraseResult R;
-    if (!N)
-      return R;
-    if (N->Collision) {
-      if (N->CollisionHash != HashValue)
-        return R;
-      for (size_t I = 0, E = N->Entries.size(); I != E; ++I) {
-        const Leaf &L = std::get<Leaf>(N->Entries[I]);
-        if (!Eq{}(L.Key, Key))
-          continue;
-        R.Removed = true;
-        if (N->Entries.size() == 2) {
-          // Lift the surviving leaf into the parent.
-          R.IsLeaf = true;
-          R.L = std::get<Leaf>(N->Entries[I ^ 1]);
-          return R;
+  /// One update's operands, shared by every level of its descent.
+  struct Update {
+    Op Kind;
+    uint64_t HashValue;
+    const K &Key;
+    Leaf *New; // Insert/Toggle: the leaf to add, moved from when added
+    std::optional<Leaf> Lift;
+  };
+
+  /// Applies \p U to the subtree \p N at \p Shift. \p Owned: N may be
+  /// edited in place (this trie owns it and every node above it). On a
+  /// change other than Lifted and Emptied, \p Out is the subtree's node
+  /// afterwards: N or its reallocation when Owned (which then also takes
+  /// over the caller's count on N), a fresh copy otherwise (N untouched
+  /// and still the caller's). An Owned N that Lifted or Emptied is freed.
+  static Change update(Node *N, bool Owned, unsigned Shift, Update &U,
+                       Node *&Out) {
+    if (N->Collision)
+      return updateCollision(N, Owned, Shift, U, Out);
+    uint32_t Bit = bitpos(U.HashValue, Shift);
+
+    if (N->DataMap & Bit) {
+      unsigned Idx = index(N->DataMap, Bit);
+      Leaf &L = leaves(N)[Idx];
+      if (Eq{}(L.Key, U.Key)) {
+        if (U.Kind == Op::Insert)
+          return replaceValue(N, Owned, Idx, U, Out);
+        unsigned Len = hamt_detail::popcount(N->DataMap);
+        unsigned Entries = Len + numKids(N);
+        if (Entries == 1) {
+          if (Owned)
+            destroyNode(N);
+          return Change::Emptied;
         }
-        NodePtr Copy = makeRefCnt<Node>(*N);
-        Copy->Entries.erase(Copy->Entries.begin() + I);
-        R.N = std::move(Copy);
-        return R;
-      }
-      return R;
-    }
-    uint32_t Bit = bitpos(HashValue, Shift);
-    if (!(N->Bitmap & Bit))
-      return R;
-    unsigned Idx = sparseIndex(N->Bitmap, Bit);
-    const Entry &E = N->Entries[Idx];
-    if (const Leaf *L = std::get_if<Leaf>(&E)) {
-      if (!Eq{}(L->Key, Key))
-        return R;
-      R.Removed = true;
-      if (N->Entries.size() == 1) {
-        R.Empty = true;
-        return R;
-      }
-      if (N->Entries.size() == 2 && Shift > 0) {
-        // If the sibling is a leaf, collapse this node into it.
-        if (const Leaf *Sibling =
-                std::get_if<Leaf>(&N->Entries[Idx ^ 1])) {
-          R.IsLeaf = true;
-          R.L = *Sibling;
-          return R;
+        if (Entries == 2 && N->NodeMap == 0 && Shift > 0) {
+          // The sibling leaf is all that is left: collapse into it.
+          liftLeaf(N, Owned, Idx ^ 1, U);
+          return Change::Lifted;
         }
+        Node *M = Owned ? N : clone(N, 0);
+        removeLeafAt(M, Len, Idx);
+        M->DataMap &= ~Bit;
+        Out = M;
+        return Change::Removed;
       }
-      NodePtr Copy = makeRefCnt<Node>(*N);
-      Copy->Bitmap &= ~Bit;
-      Copy->Entries.erase(Copy->Entries.begin() + Idx);
-      R.N = std::move(Copy);
-      return R;
+      if (U.Kind == Op::Erase)
+        return Change::None;
+      // Push the resident leaf and the new one down into a subtree.
+      Node *M = Owned ? N : clone(N, excess(KidBytes, LeafBytes));
+      Leaf &Resident = leaves(M)[Idx];
+      uint64_t ResidentHash = Hash{}(Resident.Key);
+      Node *Sub = mergeLeaves(std::move(Resident), ResidentHash,
+                              std::move(*U.New), U.HashValue,
+                              Shift + BitsPerLevel);
+      removeLeafAt(M, hamt_detail::popcount(M->DataMap), Idx);
+      M->DataMap &= ~Bit;
+      M = reserve(M, KidBytes);
+      insertKid(M, Bit, Sub);
+      Out = M;
+      return Change::Added;
     }
-    EraseResult Sub = eraseImpl(std::get<NodePtr>(E).get(), HashValue,
-                                Shift + BitsPerLevel, Key);
-    if (!Sub.Removed)
-      return R;
-    R.Removed = true;
-    NodePtr Copy = makeRefCnt<Node>(*N);
-    if (Sub.IsLeaf) {
-      if (N->Entries.size() == 1 && Shift > 0) {
-        // Propagate the lone leaf further up.
-        R.IsLeaf = true;
-        R.L = std::move(Sub.L);
-        return R;
+
+    if (N->NodeMap & Bit) {
+      unsigned Idx = index(N->NodeMap, Bit);
+      Node *Kid = kids(N)[Idx];
+      bool KidOwned = Owned && unique(Kid);
+      Node *NewKid = nullptr;
+      Change C = update(Kid, KidOwned, Shift + BitsPerLevel, U, NewKid);
+      if (C == Change::None)
+        return C;
+      assert(C != Change::Emptied && "a child subtree holds two entries");
+      if (Owned && !KidOwned)
+        release(Kid); // this node's count on the old child
+      if (C != Change::Lifted) {
+        Node *M = Owned ? N : clone(N, 0, static_cast<int>(Idx));
+        kids(M)[Idx] = NewKid;
+        Out = M;
+        return C;
       }
-      Copy->Entries[Idx] = std::move(Sub.L);
+      if (N->DataMap == 0 && numKids(N) == 1 && Shift > 0) {
+        // The child was this node's only entry: pass the leaf up.
+        if (Owned)
+          freeNode(N);
+        return Change::Lifted;
+      }
+      // Inline the child's last leaf here.
+      Node *M = Owned ? N : clone(N, excess(LeafBytes, KidBytes),
+                                  static_cast<int>(Idx));
+      removeKid(M, Bit);
+      M = reserve(M, LeafBytes);
+      insertLeaf(M, Bit, std::move(*U.Lift));
+      U.Lift.reset();
+      Out = M;
+      return Change::Removed;
+    }
+
+    if (U.Kind == Op::Erase)
+      return Change::None;
+    Node *M = Owned ? reserve(N, LeafBytes) : clone(N, LeafBytes);
+    insertLeaf(M, Bit, std::move(*U.New));
+    Out = M;
+    return Change::Added;
+  }
+
+  static Change updateCollision(Node *N, bool Owned, unsigned Shift,
+                                Update &U, Node *&Out) {
+    unsigned Len = N->DataMap;
+    uint64_t Shared = Hash{}(leaves(N)[0].Key);
+    if (Shared != U.HashValue) {
+      if (U.Kind == Op::Erase)
+        return Change::None;
+      // Split: hang this node below a bitmap node at its own fragment and
+      // update that (the hashes part at some level below MaxShift). The
+      // new parent takes over an Owned caller's count, or retains N.
+      Node *P = allocNode(KidBytes, false);
+      P->NodeMap = bitpos(Shared, Shift);
+      kids(P)[0] = N;
+      if (!Owned)
+        retain(N);
+      return update(P, true, Shift, U, Out);
+    }
+    for (unsigned I = 0; I != Len; ++I) {
+      if (!Eq{}(leaves(N)[I].Key, U.Key))
+        continue;
+      if (U.Kind == Op::Insert)
+        return replaceValue(N, Owned, I, U, Out);
+      if (Len == 2) {
+        liftLeaf(N, Owned, I ^ 1, U);
+        return Change::Lifted;
+      }
+      Node *M = Owned ? N : clone(N, 0);
+      removeLeafAt(M, Len, I);
+      --M->DataMap;
+      Out = M;
+      return Change::Removed;
+    }
+    if (U.Kind == Op::Erase)
+      return Change::None;
+    Node *M = Owned ? reserve(N, LeafBytes) : clone(N, LeafBytes);
+    ::new (static_cast<void *>(leaves(M) + Len)) Leaf(std::move(*U.New));
+    ++M->DataMap;
+    Out = M;
+    return Change::Added;
+  }
+
+  static Change replaceValue(Node *N, bool Owned, unsigned Idx, Update &U,
+                             Node *&Out) {
+    if constexpr (std::is_empty_v<V>) {
+      return Change::None; // a set element is its own value
     } else {
-      assert(!Sub.Empty && "child erase cannot empty a subtree");
-      Copy->Entries[Idx] = std::move(Sub.N);
+      Node *M = Owned ? N : clone(N, 0);
+      leaves(M)[Idx].Val = std::move(U.New->Val);
+      Out = M;
+      return Change::Replaced;
     }
-    R.N = std::move(Copy);
-    return R;
+  }
+
+  /// Leaves leaf \p Idx of \p N, whose other entries are being removed,
+  /// in U.Lift: moved out of an Owned N (then destroyed), copied
+  /// otherwise.
+  static void liftLeaf(Node *N, bool Owned, unsigned Idx, Update &U) {
+    if (!Owned) {
+      U.Lift.emplace(leaves(N)[Idx]);
+      return;
+    }
+    U.Lift.emplace(std::move(leaves(N)[Idx]));
+    destroyNode(N);
+  }
+
+  /// Runs \p U from the root. The root is edited in place when this map
+  /// owns it alone; a map that shares it path-copies.
+  Change apply(Update &U) {
+    if (!Root) {
+      if (U.Kind == Op::Erase)
+        return Change::None;
+      Root = singleLeafNode(std::move(*U.New), U.HashValue, 0);
+      ++Count;
+      return Change::Added;
+    }
+    bool Owned = unique(Root);
+    Node *Out = nullptr;
+    Change C = update(Root, Owned, 0, U, Out);
+    if (C == Change::None)
+      return C;
+    if (!Owned)
+      release(Root);
+    if (C == Change::Emptied) {
+      Out = nullptr;
+    } else if (C == Change::Lifted) {
+      // Unreachable from a canonical root, which never collapses.
+      uint64_t H = Hash{}(U.Lift->Key);
+      Out = singleLeafNode(std::move(*U.Lift), H, 0);
+    }
+    Root = Out;
+    if (C == Change::Added)
+      ++Count;
+    else if (C != Change::Replaced)
+      --Count;
+    return C;
   }
 
   template <typename Fn> static void forEachImpl(const Node *N, Fn &Callback) {
-    if (!N)
-      return;
-    for (const Entry &E : N->Entries) {
-      if (const Leaf *L = std::get_if<Leaf>(&E))
-        Callback(L->Key, L->Val);
-      else
-        forEachImpl(std::get<NodePtr>(E).get(), Callback);
-    }
+    const Leaf *L = leaves(N);
+    for (unsigned I = 0, E = numLeaves(N); I != E; ++I)
+      Callback(L[I].Key, L[I].Val);
+    Node *const *C = kids(N);
+    for (unsigned I = 0, E = numKids(N); I != E; ++I)
+      forEachImpl(C[I], Callback);
   }
 
-  // Transient insert: mutates uniquely-owned nodes in place and falls back
-  // to the persistent path-copy (insertImpl) the moment a shared node is
-  // reached. Taking \p N by value preserves the caller's reference while
-  // the uniqueness check runs; copied nodes retain their children, so a
-  // subtree reachable from any other root can never be mutated.
-  static NodePtr insertMutImpl(NodePtr N, uint64_t HashValue, unsigned Shift,
-                               Leaf NewLeaf, bool &Added) {
-    if (!N) {
-      Added = true;
-      return singleLeafNode(std::move(NewLeaf), HashValue, Shift);
-    }
-    if (!N.unique())
-      return insertImpl(N.get(), HashValue, Shift, std::move(NewLeaf), Added);
-    Node *M = N.get();
-    if (M->Collision) {
-      if (M->CollisionHash == HashValue) {
-        for (Entry &E : M->Entries) {
-          Leaf &L = std::get<Leaf>(E);
-          if (Eq{}(L.Key, NewLeaf.Key)) {
-            L.Val = std::move(NewLeaf.Val);
-            Added = false;
-            return N;
-          }
-        }
-        M->Entries.push_back(std::move(NewLeaf));
-        Added = true;
-        return N;
-      }
-      NodePtr Parent = makeRefCnt<Node>();
-      Parent->Bitmap = bitpos(M->CollisionHash, Shift);
-      Parent->Entries.push_back(std::move(N));
-      return insertMutImpl(std::move(Parent), HashValue, Shift,
-                           std::move(NewLeaf), Added);
-    }
-    uint32_t Bit = bitpos(HashValue, Shift);
-    unsigned Idx = sparseIndex(M->Bitmap, Bit);
-    if (!(M->Bitmap & Bit)) {
-      M->Bitmap |= Bit;
-      M->Entries.insert(M->Entries.begin() + Idx, std::move(NewLeaf));
-      Added = true;
-      return N;
-    }
-    Entry &E = M->Entries[Idx];
-    if (Leaf *L = std::get_if<Leaf>(&E)) {
-      if (Eq{}(L->Key, NewLeaf.Key)) {
-        L->Val = std::move(NewLeaf.Val);
-        Added = false;
-        return N;
-      }
-      Leaf Existing = std::move(*L);
-      uint64_t ExistingHash = Hash{}(Existing.Key);
-      E = mergeLeaves(std::move(Existing), ExistingHash, std::move(NewLeaf),
-                      HashValue, Shift + BitsPerLevel);
-      Added = true;
-      return N;
-    }
-    NodePtr Child = std::move(std::get<NodePtr>(E));
-    E = insertMutImpl(std::move(Child), HashValue, Shift + BitsPerLevel,
-                      std::move(NewLeaf), Added);
-    return N;
-  }
-
-  // Transient erase. \p Slot is the owning reference being erased through:
-  // on a plain removal the new subtree is installed into it (in place when
-  // uniquely owned, path-copied otherwise); collapse results (IsLeaf,
-  // Empty) are reported to the caller exactly like eraseImpl, leaving the
-  // caller to replace its entry.
-  static EraseResult eraseMutImpl(NodePtr &Slot, uint64_t HashValue,
-                                  unsigned Shift, const K &Key) {
-    EraseResult R;
-    Node *N = Slot.get();
-    if (!N)
-      return R;
-    if (!Slot.unique()) {
-      EraseResult S = eraseImpl(N, HashValue, Shift, Key);
-      if (S.Removed && !S.IsLeaf && !S.Empty)
-        Slot = std::move(S.N);
-      R.Removed = S.Removed;
-      R.IsLeaf = S.IsLeaf;
-      R.Empty = S.Empty;
-      R.L = std::move(S.L);
-      return R;
-    }
-    if (N->Collision) {
-      if (N->CollisionHash != HashValue)
-        return R;
-      for (size_t I = 0, E = N->Entries.size(); I != E; ++I) {
-        const Leaf &L = std::get<Leaf>(N->Entries[I]);
-        if (!Eq{}(L.Key, Key))
-          continue;
-        R.Removed = true;
-        if (N->Entries.size() == 2) {
-          R.IsLeaf = true;
-          R.L = std::move(std::get<Leaf>(N->Entries[I ^ 1]));
-          return R;
-        }
-        N->Entries.erase(N->Entries.begin() + I);
-        return R;
-      }
-      return R;
-    }
-    uint32_t Bit = bitpos(HashValue, Shift);
-    if (!(N->Bitmap & Bit))
-      return R;
-    unsigned Idx = sparseIndex(N->Bitmap, Bit);
-    Entry &E = N->Entries[Idx];
-    if (Leaf *L = std::get_if<Leaf>(&E)) {
-      if (!Eq{}(L->Key, Key))
-        return R;
-      R.Removed = true;
-      if (N->Entries.size() == 1) {
-        R.Empty = true;
-        return R;
-      }
-      if (N->Entries.size() == 2 && Shift > 0) {
-        if (Leaf *Sibling = std::get_if<Leaf>(&N->Entries[Idx ^ 1])) {
-          R.IsLeaf = true;
-          R.L = std::move(*Sibling);
-          return R;
-        }
-      }
-      N->Bitmap &= ~Bit;
-      N->Entries.erase(N->Entries.begin() + Idx);
-      return R;
-    }
-    NodePtr &Child = std::get<NodePtr>(E);
-    EraseResult Sub = eraseMutImpl(Child, HashValue, Shift + BitsPerLevel,
-                                   Key);
-    if (!Sub.Removed)
-      return R;
-    R.Removed = true;
-    assert(!Sub.Empty && "child erase cannot empty a subtree");
-    if (Sub.IsLeaf) {
-      if (N->Entries.size() == 1 && Shift > 0) {
-        R.IsLeaf = true;
-        R.L = std::move(Sub.L);
-        return R;
-      }
-      E = std::move(Sub.L);
-    }
-    return R;
-  }
-
-  // Node walk for memory accounting. Callback(node pointer, resident
+  // Node walk for memory accounting. Callback(node pointer, allocation
   // bytes, refcount) returns true to descend into the node's children —
   // returning false lets a cross-value walker skip subtrees it has
   // already visited through another root.
   template <typename Fn>
   static void forEachNodeImpl(const Node *N, Fn &Callback) {
-    if (!N)
+    if (!Callback(static_cast<const void *>(N), HeaderBytes + N->Cap,
+                  N->RefCount.load(std::memory_order_acquire)))
       return;
-    if (!Callback(static_cast<const void *>(N),
-                  sizeof(Node) + N->Entries.capacity() * sizeof(Entry),
-                  static_cast<uint32_t>(N->useCount())))
-      return;
-    for (const Entry &E : N->Entries)
-      if (const NodePtr *C = std::get_if<NodePtr>(&E))
-        forEachNodeImpl(C->get(), Callback);
+    Node *const *C = kids(N);
+    for (unsigned I = 0, E = numKids(N); I != E; ++I)
+      forEachNodeImpl(C[I], Callback);
   }
 
+  Node *Root = nullptr;
+  size_t Count = 0;
+
 public:
+  /// Bytes one entry takes inside a node (a set's: the element alone).
+  static constexpr size_t EntryBytes = LeafBytes;
+
   /// The empty map.
   HamtMap() = default;
+  HamtMap(const HamtMap &O) : Root(O.Root), Count(O.Count) {
+    if (Root)
+      retain(Root);
+  }
+  HamtMap(HamtMap &&O) noexcept : Root(O.Root), Count(O.Count) {
+    O.Root = nullptr;
+    O.Count = 0;
+  }
+  HamtMap &operator=(HamtMap O) noexcept {
+    std::swap(Root, O.Root);
+    std::swap(Count, O.Count);
+    return *this;
+  }
+  ~HamtMap() {
+    if (Root)
+      release(Root);
+  }
 
   bool empty() const { return Count == 0; }
   size_t size() const { return Count; }
 
   /// Pointer to the value mapped to \p Key, or nullptr. O(log32 n).
   const V *find(const K &Key) const {
-    return findImpl(Root.get(), Hash{}(Key), 0, Key);
+    return findImpl(Root, Hash{}(Key), Key);
   }
 
   bool contains(const K &Key) const { return find(Key) != nullptr; }
@@ -487,65 +595,57 @@ public:
   /// Returns a map where \p Key maps to \p Value (inserted or replaced).
   /// This map is unchanged. O(log32 n) copied nodes.
   HamtMap set(K Key, V Value) const {
-    bool Added = false;
-    // Hash before building the Leaf: the move must not race the hashing
-    // within one argument list (evaluation order is unspecified).
-    uint64_t H = Hash{}(Key);
-    NodePtr NewRoot = insertImpl(
-        Root.get(), H, 0, Leaf{std::move(Key), std::move(Value)}, Added);
-    return HamtMap(std::move(NewRoot), Count + (Added ? 1 : 0));
+    HamtMap R(*this); // shares the root, so the update path-copies
+    R.setMut(std::move(Key), std::move(Value));
+    return R;
   }
 
-  /// Returns a map without \p Key (unchanged copy if absent).
+  /// Returns a map without \p Key (sharing this map's root if absent).
   HamtMap erase(const K &Key) const {
-    EraseResult R = eraseImpl(Root.get(), Hash{}(Key), 0, Key);
-    if (!R.Removed)
-      return *this;
-    if (R.Empty)
-      return HamtMap();
-    if (R.IsLeaf) {
-      uint64_t H = Hash{}(R.L.Key);
-      return HamtMap(singleLeafNode(std::move(R.L), H, 0), Count - 1);
-    }
-    return HamtMap(std::move(R.N), Count - 1);
+    HamtMap R(*this);
+    R.eraseMut(Key);
+    return R;
   }
 
   /// Transient insert-or-replace: mutates this map, reusing every node
   /// this map owns exclusively and path-copying shared ones. Other maps
   /// sharing structure with this one are never affected. O(log32 n).
   void setMut(K Key, V Value) {
-    bool Added = false;
+    // Hash before building the Leaf: the move must not race the hashing.
     uint64_t H = Hash{}(Key);
-    Root = insertMutImpl(std::move(Root), H, 0,
-                         Leaf{std::move(Key), std::move(Value)}, Added);
-    if (Added)
-      ++Count;
+    Leaf New{std::move(Key), std::move(Value)};
+    Update U{Op::Insert, H, New.Key, &New, std::nullopt};
+    apply(U);
   }
 
   /// Transient erase with the same sharing discipline as setMut.
   /// Returns true when the key was present.
   bool eraseMut(const K &Key) {
-    EraseResult R = eraseMutImpl(Root, Hash{}(Key), 0, Key);
-    if (!R.Removed)
-      return false;
-    if (R.Empty) {
-      Root.reset();
-    } else if (R.IsLeaf) {
-      uint64_t H = Hash{}(R.L.Key);
-      Root = singleLeafNode(std::move(R.L), H, 0);
-    }
-    --Count;
-    return true;
+    Update U{Op::Erase, Hash{}(Key), Key, nullptr, std::nullopt};
+    return apply(U) != Change::None;
+  }
+
+  /// Transient toggle for a map of an empty value type (a set): inserts
+  /// \p Key when absent and erases it when present, in one descent.
+  /// Returns true when the key is present afterwards.
+  bool toggleMut(K Key) {
+    static_assert(std::is_empty_v<V>, "toggle needs a set-like map");
+    uint64_t H = Hash{}(Key);
+    Leaf New{std::move(Key), V{}};
+    Update U{Op::Toggle, H, New.Key, &New, std::nullopt};
+    return apply(U) == Change::Added;
   }
 
   /// Calls Callback(key, value) for every entry (unspecified order).
   template <typename Fn> void forEach(Fn &&Callback) const {
-    forEachImpl(Root.get(), Callback);
+    if (Root)
+      forEachImpl(Root, Callback);
   }
 
   /// Walks the trie nodes for memory accounting; see forEachNodeImpl.
   template <typename Fn> void forEachNode(Fn &&Callback) const {
-    forEachNodeImpl(Root.get(), Callback);
+    if (Root)
+      forEachNodeImpl(Root, Callback);
   }
 
   /// Collects all entries into a vector (unspecified order).
@@ -559,38 +659,44 @@ public:
   }
 };
 
-/// Persistent hash set on top of HamtMap.
+/// Persistent hash set on top of HamtMap; an entry is the element alone.
 template <typename K, typename Hash = std::hash<K>,
           typename Eq = std::equal_to<K>>
 class HamtSet {
   struct Unit {};
-  HamtMap<K, Unit, Hash, Eq> Map;
+  using Map = HamtMap<K, Unit, Hash, Eq>;
+  Map Elems;
 
-  explicit HamtSet(HamtMap<K, Unit, Hash, Eq> Map) : Map(std::move(Map)) {}
+  explicit HamtSet(Map Elems) : Elems(std::move(Elems)) {}
 
 public:
+  /// Bytes one element takes inside a node.
+  static constexpr size_t EntryBytes = Map::EntryBytes;
+
   HamtSet() = default;
 
-  bool empty() const { return Map.empty(); }
-  size_t size() const { return Map.size(); }
-  bool contains(const K &Key) const { return Map.contains(Key); }
+  bool empty() const { return Elems.empty(); }
+  size_t size() const { return Elems.size(); }
+  bool contains(const K &Key) const { return Elems.contains(Key); }
 
   /// Returns a set containing \p Key.
-  HamtSet insert(K Key) const { return HamtSet(Map.set(std::move(Key), {})); }
+  HamtSet insert(K Key) const { return HamtSet(Elems.set(std::move(Key), {})); }
   /// Returns a set without \p Key.
-  HamtSet erase(const K &Key) const { return HamtSet(Map.erase(Key)); }
+  HamtSet erase(const K &Key) const { return HamtSet(Elems.erase(Key)); }
 
-  /// Transient insert/erase (see HamtMap::setMut/eraseMut).
-  void insertMut(K Key) { Map.setMut(std::move(Key), {}); }
-  bool eraseMut(const K &Key) { return Map.eraseMut(Key); }
+  /// Transient insert/erase/toggle (see HamtMap::setMut/eraseMut/
+  /// toggleMut). toggleMut returns true when \p Key is now an element.
+  void insertMut(K Key) { Elems.setMut(std::move(Key), {}); }
+  bool eraseMut(const K &Key) { return Elems.eraseMut(Key); }
+  bool toggleMut(K Key) { return Elems.toggleMut(std::move(Key)); }
 
   template <typename Fn> void forEach(Fn &&Callback) const {
-    Map.forEach([&Callback](const K &Key, const auto &) { Callback(Key); });
+    Elems.forEach([&Callback](const K &Key, const Unit &) { Callback(Key); });
   }
 
   /// Walks the trie nodes for memory accounting.
   template <typename Fn> void forEachNode(Fn &&Callback) const {
-    Map.forEachNode(std::forward<Fn>(Callback));
+    Elems.forEachNode(std::forward<Fn>(Callback));
   }
 
   std::vector<K> items() const {
@@ -602,9 +708,5 @@ public:
 };
 
 } // namespace tessla
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 #endif // TESSLA_PERSISTENT_HAMT_H

@@ -59,6 +59,9 @@
 
 namespace tessla {
 
+// A set's trie entry is the element alone.
+static_assert(HamtSet<Value, ValueHash>::EntryBytes == sizeof(Value));
+
 /// Set payload: a persistent HAMT of elements.
 struct SetData final : ValuePayload {
   HamtSet<Value, ValueHash> Elems;
@@ -177,6 +180,9 @@ public:
   void add(Value V) { D->Elems.insertMut(std::move(V)); }
   /// Returns true when the element was present.
   bool remove(const Value &V) { return D->Elems.eraseMut(V); }
+  /// Adds \p V when absent and removes it when present, in one descent of
+  /// the trie. Returns true when V is an element afterwards.
+  bool toggle(Value V) { return D->Elems.toggleMut(std::move(V)); }
   size_t size() const { return D->size(); }
   bool contains(const Value &V) const { return D->contains(V); }
 

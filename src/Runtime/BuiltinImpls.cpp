@@ -237,9 +237,9 @@ Value evalSetRemove(const Value *const *Args, bool InPlace, EvalError &) {
 }
 
 Value evalSetToggle(const Value *const *Args, bool InPlace, EvalError &) {
-  return TESSLA_ARG(0).asSet().contains(TESSLA_ARG(1))
-             ? setWithErase(TESSLA_ARG(0), TESSLA_ARG(1), InPlace)
-             : setWithInsert(TESSLA_ARG(0), TESSLA_ARG(1), InPlace);
+  SetCow C = TESSLA_ARG(0).setCow(InPlace);
+  C.toggle(TESSLA_ARG(1));
+  return std::move(C).finish();
 }
 
 Value evalSetUpdate(const Value *const *Args, bool InPlace, EvalError &) {

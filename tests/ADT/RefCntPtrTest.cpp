@@ -80,7 +80,7 @@ TEST(RefCntPtrTest, DetachHandsOverTheCount) {
 TEST(RefCntPtrTest, CopyOfObjectGetsFreshCount) {
   RefCntPtr<Tracked> P = makeRefCnt<Tracked>(3);
   RefCntPtr<Tracked> Q = P;
-  // Copy the pointee: new object must start at refcount 0, retained to 1.
+  // Copy the pointee: the new object starts with a count of its own, 1.
   RefCntPtr<Tracked> Copy = makeRefCnt<Tracked>(*P);
   EXPECT_EQ(Copy->useCount(), 1u);
   EXPECT_EQ(P->useCount(), 2u);
