@@ -142,6 +142,11 @@ struct ProgramStep {
   /// NumReleases).
   uint16_t NumReleases = 0;
   uint32_t ReleaseBegin = 0;
+  /// LiftMerge/LiftFilter: bit I is set when argument I's slot is read by
+  /// nothing after this step — no later step, output, last refresh or
+  /// delay — so the engine moves the value it passes on instead of
+  /// copying it (an aggregate handle then costs no count traffic).
+  uint8_t MoveArgs = 0;
 };
 
 /// ProgramStep::InPlaceUpdates bits.
@@ -203,6 +208,10 @@ Value runInPlaceUpdate(const std::vector<HandleRelease> &Releases,
 struct LastSlot {
   StreamId Source;
   SlotId ValueSlot; // Source's value slot
+  /// Derived by Program::planOwnership(), never serialized: the refresh
+  /// moves the source's value into the last slot, since nothing reads
+  /// the value slot after it (no other last slot shares it).
+  bool MoveSource = false;
 };
 
 /// One delay stream with pre-resolved operand slots.
@@ -261,11 +270,13 @@ public:
   /// The release table indexed by ProgramStep::ReleaseBegin.
   const std::vector<HandleRelease> &releases() const { return Releases; }
 
-  /// Recomputes the ownership plan (the ProgramStep::InPlaceUpdates and
-  /// release fields plus releases()) from the step and slot tables: for
-  /// every in-place update, the translation order proves which of the
-  /// lane's other handles on the family's payload are dead from that
-  /// step on. Program::compile, the pass manager and
+  /// Recomputes the ownership plan (the ProgramStep::InPlaceUpdates,
+  /// release and MoveArgs fields, LastSlot::MoveSource, and releases())
+  /// from the step and slot tables: for every in-place update, the
+  /// translation order proves which of the lane's other handles on the
+  /// family's payload are dead from that step on, and for every
+  /// pass-through and last refresh, which handles it may move at their
+  /// last use. Program::compile, the pass manager and
   /// the bundle loader call it; anything else that rewrites the tables
   /// through optView() must call it before the program runs.
   void planOwnership();

@@ -18,6 +18,13 @@
 // engines release them with a flat loop and the runtime's uniqueness
 // test is left with detecting holders outside the lane.
 //
+// The same facts let a handle move at its last use instead of being
+// copied and later dropped: a merge or filter passes its argument on by
+// move when nothing after it reads the argument's slot, and the last
+// refresh moves its source, which only the slot reset reads after it.
+// Seen Set's in-place event then retains and releases its set once
+// instead of three times each.
+//
 //===----------------------------------------------------------------------===//
 
 #include "tessla/ADT/UnionFind.h"
@@ -86,6 +93,7 @@ void Program::planOwnership() {
     Step.InPlaceUpdates = 0;
     Step.NumReleases = 0;
     Step.ReleaseBegin = 0;
+    Step.MoveArgs = 0;
     if (Step.Op == Opcode::Skip)
       continue; // inputs hold the caller's values; nil never fires
     if (Step.Dst < NumSlots)
@@ -148,6 +156,30 @@ void Program::planOwnership() {
       break;
     }
   }
+
+  // --- Moves at last use: a pass-through's argument that no later step
+  // reads and no reader outside the step loop pins, and each last
+  // refresh's source, which only the slot reset reads after it (the
+  // engines refresh after delay scheduling). ---
+  auto MovableAt = [&](SlotId X, int K) {
+    return X < NumSlots && !Pinned[X] && LastUse[X] == K;
+  };
+  for (int K = 0; K != N; ++K) {
+    ProgramStep &Step = Steps[K];
+    if (Step.Op == Opcode::LiftMerge) {
+      for (unsigned I = 0; I != Step.NumArgs; ++I)
+        if (MovableAt(Step.ArgSlot[I], K))
+          Step.MoveArgs |= uint8_t(1u << I);
+    } else if (Step.Op == Opcode::LiftFilter && MovableAt(Step.ArgSlot[0], K)) {
+      Step.MoveArgs = 1;
+    }
+  }
+  std::vector<uint8_t> LastSources(NumSlots, 0);
+  for (const LastSlot &L : LastSlots)
+    if (L.ValueSlot < NumSlots && LastSources[L.ValueSlot] < 2)
+      ++LastSources[L.ValueSlot];
+  for (LastSlot &L : LastSlots)
+    L.MoveSource = L.ValueSlot < NumSlots && LastSources[L.ValueSlot] == 1;
 
   // --- Release sets of every outer in-place update. ---
   for (int K = 0; K != N; ++K) {

@@ -159,14 +159,18 @@ template <class State> void runCalculation(const Program &Prog, State S) {
       }
       break;
     case Opcode::LiftMerge:
-      // merge: the first stream's event wins (f_merge, §II).
+      // merge: the first stream's event wins (f_merge, §II). An argument
+      // read by nothing later is moved (ProgramStep::MoveArgs).
       for (uint32_t L : S.lanes()) {
         if (S.failed(L))
           continue;
         for (unsigned I = 0; I != Step.NumArgs; ++I) {
           size_t A = S.row(Step.ArgSlot[I]) + L;
           if (S.present(A)) {
-            setSlot(S, Step.Dst, L, S.cur(A));
+            if (Step.MoveArgs >> I & 1)
+              setSlot(S, Step.Dst, L, std::move(S.cur(A)));
+            else
+              setSlot(S, Step.Dst, L, S.cur(A));
             break;
           }
         }
@@ -201,7 +205,11 @@ template <class State> void runCalculation(const Program &Prog, State S) {
         const Value &C = S.cur(Cond + L);
         if (C.kind() != Value::Kind::Bool)
           S.fail(L, S.runTs(L), Step.Id, "filter condition is not a Bool");
-        else if (C.getBool())
+        else if (!C.getBool())
+          continue;
+        else if (Step.MoveArgs)
+          setSlot(S, Step.Dst, L, std::move(S.cur(Arg + L)));
+        else
           setSlot(S, Step.Dst, L, S.cur(Arg + L));
       }
       break;
@@ -267,20 +275,10 @@ template <class State> void runCalculation(const Program &Prog, State S) {
     }
   }
 
-  // --- End of calculation: update *_last slots (§III-A). ---
-  for (size_t R = 0, E = Prog.lastSlots().size(); R != E; ++R) {
-    const size_t Src = S.row(Prog.lastSlots()[R].ValueSlot);
-    const size_t Last = S.row(R);
-    for (uint32_t L : S.lanes())
-      if (!S.failed(L) && S.present(Src + L)) {
-        S.lastVal(Last + L) = S.cur(Src + L);
-        S.lastInit(Last + L) = 1;
-      }
-  }
-
   // --- Delay scheduling (§III-B): an event of the reset stream or the
   // delay itself is a reset; with a delays-value event it re-arms the
-  // timer, without one it cancels it. ---
+  // timer, without one it cancels it. It runs before the last refresh,
+  // which may move the amount slots it reads. ---
   for (size_t R = 0, E = Prog.delays().size(); R != E; ++R) {
     const DelaySlot &D = Prog.delays()[R];
     const size_t Reset = S.row(D.ResetSlot), Self = S.row(D.ValueSlot),
@@ -300,6 +298,23 @@ template <class State> void runCalculation(const Program &Prog, State S) {
       S.nextTs(Timer + L) = S.runTs(L) + By;
       S.nextTsSet(Timer + L) = 1;
     }
+  }
+
+  // --- End of calculation: update *_last slots (§III-A), moving the
+  // source when the ownership plan allows: only the reset reads it
+  // after this. ---
+  for (size_t R = 0, E = Prog.lastSlots().size(); R != E; ++R) {
+    const LastSlot &LS = Prog.lastSlots()[R];
+    const size_t Src = S.row(LS.ValueSlot);
+    const size_t Last = S.row(R);
+    for (uint32_t L : S.lanes())
+      if (!S.failed(L) && S.present(Src + L)) {
+        if (LS.MoveSource)
+          S.lastVal(Last + L) = std::move(S.cur(Src + L));
+        else
+          S.lastVal(Last + L) = S.cur(Src + L);
+        S.lastInit(Last + L) = 1;
+      }
   }
 
   // --- Reset current-value slots for the lane's next timestamp. ---
