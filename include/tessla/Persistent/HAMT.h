@@ -36,8 +36,11 @@
 #ifndef TESSLA_PERSISTENT_HAMT_H
 #define TESSLA_PERSISTENT_HAMT_H
 
+#include "tessla/ADT/Relocatable.h"
+
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -81,9 +84,10 @@ class HamtMap {
 
   // The header of a node; the entry area of Cap bytes follows it in the
   // same allocation. Bitmap nodes: popcount(DataMap) leaves from the
-  // front, popcount(NodeMap) child pointers (each owning one count) at
-  // the back, both in bit order. Collision nodes: DataMap leaves whose
-  // keys share one full hash, and no children.
+  // front in bit order, popcount(NodeMap) child pointers (each owning one
+  // count) from the back in reverse bit order, so that neither pack's
+  // position depends on the other's size. Collision nodes: DataMap
+  // leaves whose keys share one full hash, and no children.
   struct Node {
     mutable std::atomic<uint32_t> RefCount{1};
     uint32_t Cap : 31;
@@ -93,6 +97,8 @@ class HamtMap {
   };
 
   static constexpr size_t LeafBytes = sizeof(Leaf);
+  static constexpr bool LeafMemmove = IsTriviallyRelocatable<K>::value &&
+                                      IsTriviallyRelocatable<V>::value;
   static constexpr size_t KidBytes = sizeof(Node *);
   static constexpr size_t AreaAlign =
       alignof(Leaf) > alignof(Node *) ? alignof(Leaf) : alignof(Node *);
@@ -116,9 +122,12 @@ class HamtMap {
   static Leaf *leaves(const Node *N) {
     return reinterpret_cast<Leaf *>(area(N));
   }
-  static Node **kids(const Node *N) {
-    return reinterpret_cast<Node **>(area(N) + N->Cap) -
-           hamt_detail::popcount(N->NodeMap);
+  /// One past the kid pack: child I (in bit order) is kidEnd(N)[-1 - I].
+  static Node **kidEnd(const Node *N) {
+    return reinterpret_cast<Node **>(area(N) + N->Cap);
+  }
+  static Node *&kid(const Node *N, unsigned I) {
+    return kidEnd(N)[-1 - static_cast<std::ptrdiff_t>(I)];
   }
   static unsigned numLeaves(const Node *N) {
     return N->Collision ? N->DataMap : hamt_detail::popcount(N->DataMap);
@@ -150,9 +159,8 @@ class HamtMap {
     Leaf *L = leaves(N);
     for (unsigned I = 0, E = numLeaves(N); I != E; ++I)
       L[I].~Leaf();
-    Node **C = kids(N);
     for (unsigned I = 0, E = numKids(N); I != E; ++I)
-      release(C[I]);
+      release(kid(N, I));
     freeNode(N);
   }
 
@@ -182,12 +190,10 @@ class HamtMap {
     Leaf *DL = leaves(M);
     for (unsigned I = 0, E = numLeaves(N); I != E; ++I)
       ::new (static_cast<void *>(DL + I)) Leaf(SL[I]);
-    Node *const *SK = kids(N);
-    Node **DK = kids(M);
     for (unsigned I = 0, E = numKids(N); I != E; ++I) {
-      DK[I] = SK[I];
+      kid(M, I) = kid(N, I);
       if (static_cast<int>(I) != SkipKid)
-        retain(SK[I]);
+        retain(kid(N, I));
     }
     return M;
   }
@@ -205,18 +211,32 @@ class HamtMap {
     Node *M = allocNode(Want > Grown ? Want : Grown, N->Collision);
     M->DataMap = N->DataMap;
     M->NodeMap = N->NodeMap;
-    Leaf *SL = leaves(N), *DL = leaves(M);
-    for (unsigned I = 0, E = numLeaves(N); I != E; ++I)
-      relocate(DL + I, SL + I);
-    std::memcpy(kids(M), kids(N), numKids(N) * KidBytes);
+    relocate(leaves(M), leaves(N), numLeaves(N));
+    unsigned Kids = numKids(N);
+    std::memcpy(kidEnd(M) - Kids, kidEnd(N) - Kids, Kids * KidBytes);
     freeNode(N);
     return M;
   }
 
-  /// Moves the leaf at \p Src into raw storage at \p Dst and ends Src.
-  static void relocate(Leaf *Dst, Leaf *Src) {
-    ::new (static_cast<void *>(Dst)) Leaf(std::move(*Src));
-    Src->~Leaf();
+  /// Moves the \p Len leaves at \p Src into storage at \p Dst (the
+  /// ranges may overlap) and ends the ones left behind.
+  static void relocate(Leaf *Dst, Leaf *Src, unsigned Len) {
+    if (Dst == Src || Len == 0)
+      return;
+    if constexpr (LeafMemmove) {
+      std::memmove(static_cast<void *>(Dst), static_cast<void *>(Src),
+                   Len * LeafBytes);
+    } else if (Dst < Src) {
+      for (unsigned I = 0; I != Len; ++I) {
+        ::new (static_cast<void *>(Dst + I)) Leaf(std::move(Src[I]));
+        Src[I].~Leaf();
+      }
+    } else {
+      for (unsigned I = Len; I-- != 0;) {
+        ::new (static_cast<void *>(Dst + I)) Leaf(std::move(Src[I]));
+        Src[I].~Leaf();
+      }
+    }
   }
 
   // In-place edits of a node this trie owns. The caller has reserved the
@@ -226,8 +246,7 @@ class HamtMap {
     unsigned Len = hamt_detail::popcount(N->DataMap);
     unsigned Idx = index(N->DataMap, Bit);
     Leaf *L = leaves(N);
-    for (unsigned J = Len; J != Idx; --J)
-      relocate(L + J, L + J - 1);
+    relocate(L + Idx + 1, L + Idx, Len - Idx);
     ::new (static_cast<void *>(L + Idx)) Leaf(std::move(New));
     N->DataMap |= Bit;
   }
@@ -235,21 +254,20 @@ class HamtMap {
   static void removeLeafAt(Node *N, unsigned Len, unsigned Idx) {
     Leaf *L = leaves(N);
     L[Idx].~Leaf();
-    for (unsigned J = Idx + 1; J < Len; ++J)
-      relocate(L + J - 1, L + J);
+    relocate(L + Idx, L + Idx + 1, Len - Idx - 1);
   }
   static void insertKid(Node *N, uint32_t Bit, Node *Kid) {
-    unsigned Idx = index(N->NodeMap, Bit);
-    Node **Old = kids(N);
-    std::memmove(Old - 1, Old, Idx * KidBytes);
+    unsigned Idx = index(N->NodeMap, Bit), Len = numKids(N);
+    Node **End = kidEnd(N);
+    std::memmove(End - Len - 1, End - Len, (Len - Idx) * KidBytes);
     N->NodeMap |= Bit;
-    kids(N)[Idx] = Kid;
+    kid(N, Idx) = Kid;
   }
   /// Drops child slot \p Bit without releasing the pointer in it.
   static void removeKid(Node *N, uint32_t Bit) {
-    unsigned Idx = index(N->NodeMap, Bit);
-    Node **Old = kids(N);
-    std::memmove(Old + 1, Old, Idx * KidBytes);
+    unsigned Idx = index(N->NodeMap, Bit), Len = numKids(N);
+    Node **End = kidEnd(N);
+    std::memmove(End - Len + 1, End - Len, (Len - 1 - Idx) * KidBytes);
     N->NodeMap &= ~Bit;
   }
 
@@ -282,8 +300,8 @@ class HamtMap {
     if (BitA == BitB) {
       Node *N = allocNode(KidBytes, false);
       N->NodeMap = BitA;
-      kids(N)[0] = mergeLeaves(std::move(A), HashA, std::move(B), HashB,
-                               Shift + BitsPerLevel);
+      kid(N, 0) = mergeLeaves(std::move(A), HashA, std::move(B), HashB,
+                              Shift + BitsPerLevel);
       return N;
     }
     Node *N = allocNode(2 * LeafBytes, false);
@@ -311,7 +329,7 @@ class HamtMap {
       }
       if (!(N->NodeMap & Bit))
         return nullptr;
-      N = kids(N)[index(N->NodeMap, Bit)];
+      N = kid(N, index(N->NodeMap, Bit));
     }
     return nullptr;
   }
@@ -395,7 +413,7 @@ class HamtMap {
 
     if (N->NodeMap & Bit) {
       unsigned Idx = index(N->NodeMap, Bit);
-      Node *Kid = kids(N)[Idx];
+      Node *Kid = kid(N, Idx);
       bool KidOwned = Owned && unique(Kid);
       Node *NewKid = nullptr;
       Change C = update(Kid, KidOwned, Shift + BitsPerLevel, U, NewKid);
@@ -406,7 +424,7 @@ class HamtMap {
         release(Kid); // this node's count on the old child
       if (C != Change::Lifted) {
         Node *M = Owned ? N : clone(N, 0, static_cast<int>(Idx));
-        kids(M)[Idx] = NewKid;
+        kid(M, Idx) = NewKid;
         Out = M;
         return C;
       }
@@ -447,7 +465,7 @@ class HamtMap {
       // new parent takes over an Owned caller's count, or retains N.
       Node *P = allocNode(KidBytes, false);
       P->NodeMap = bitpos(Shared, Shift);
-      kids(P)[0] = N;
+      kid(P, 0) = N;
       if (!Owned)
         retain(N);
       return update(P, true, Shift, U, Out);
@@ -536,9 +554,8 @@ class HamtMap {
     const Leaf *L = leaves(N);
     for (unsigned I = 0, E = numLeaves(N); I != E; ++I)
       Callback(L[I].Key, L[I].Val);
-    Node *const *C = kids(N);
     for (unsigned I = 0, E = numKids(N); I != E; ++I)
-      forEachImpl(C[I], Callback);
+      forEachImpl(kid(N, I), Callback);
   }
 
   // Node walk for memory accounting. Callback(node pointer, allocation
@@ -550,9 +567,8 @@ class HamtMap {
     if (!Callback(static_cast<const void *>(N), HeaderBytes + N->Cap,
                   N->RefCount.load(std::memory_order_acquire)))
       return;
-    Node *const *C = kids(N);
     for (unsigned I = 0, E = numKids(N); I != E; ++I)
-      forEachNodeImpl(C[I], Callback);
+      forEachNodeImpl(kid(N, I), Callback);
   }
 
   Node *Root = nullptr;

@@ -29,6 +29,7 @@
 #define TESSLA_RUNTIME_VALUE_H
 
 #include "tessla/ADT/RefCntPtr.h"
+#include "tessla/ADT/Relocatable.h"
 #include "tessla/Lang/Spec.h"
 
 #include <cstdint>
@@ -288,6 +289,10 @@ private:
 // Every interpreter slot, HAMT leaf, ring record and output event holds
 // Values by value: a new member here grows all of them.
 static_assert(sizeof(Value) == 16, "Value is a kind tag plus one word");
+
+// A move copies the two words and leaves the source unit, whose
+// destructor does nothing: a HAMT node shifts its Values with memmove.
+template <> struct IsTriviallyRelocatable<Value> : std::true_type {};
 
 /// Total order over values (see the friend declaration above).
 int compareValues(const Value &A, const Value &B);
