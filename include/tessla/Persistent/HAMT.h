@@ -27,9 +27,9 @@
 /// trie owns it alone — its count is 1 and so is every count above it on
 /// the path — and path-copy from the first shared node down, so a
 /// subtree reachable from any other root is never written. Erasing keeps
-/// the trie canonical: a subtree left with a single entry that is an
-/// element collapses into its parent, so equal contents have equal
-/// shapes whatever the history.
+/// the trie canonical: a subtree left with a single element collapses
+/// into its parent, and one left with only a collision node is replaced
+/// by it, so equal contents have equal shapes whatever the history.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -388,6 +388,17 @@ class HamtMap {
           liftLeaf(N, Owned, Idx ^ 1, U);
           return Change::Lifted;
         }
+        if (Entries == 2 && Len == 1 && Shift > 0 && kid(N, 0)->Collision) {
+          // Only a collision node would be left: it replaces this node.
+          Out = kid(N, 0);
+          if (!Owned) {
+            retain(Out);
+          } else {
+            leaves(N)[0].~Leaf();
+            freeNode(N);
+          }
+          return Change::Removed;
+        }
         Node *M = Owned ? N : clone(N, 0);
         removeLeafAt(M, Len, Idx);
         M->DataMap &= ~Bit;
@@ -423,6 +434,15 @@ class HamtMap {
       if (Owned && !KidOwned)
         release(Kid); // this node's count on the old child
       if (C != Change::Lifted) {
+        if (NewKid->Collision && N->DataMap == 0 && numKids(N) == 1 &&
+            Shift > 0) {
+          // A collision node that lost its sibling moves up in place of
+          // this node, as a fresh build would have placed it.
+          if (Owned)
+            freeNode(N);
+          Out = NewKid;
+          return C;
+        }
         Node *M = Owned ? N : clone(N, 0, static_cast<int>(Idx));
         kid(M, Idx) = NewKid;
         Out = M;

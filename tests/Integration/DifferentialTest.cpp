@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 using namespace tessla;
@@ -28,11 +29,16 @@ namespace {
 
 /// Runs \p Events through a monitor of \p S and renders its outputs;
 /// \p InPlaceHits receives the in-place updates that took the
-/// destructive tier — the dynamic proof that the regime under test ran.
+/// destructive tier — the dynamic proof that the regime under test ran —
+/// and \p Moves whether some pass-through of the program moves its
+/// argument at its last use (ProgramStep::MoveArgs).
 std::string runWith(const Spec &S, const std::vector<TraceEvent> &Events,
                     bool Optimize, uint64_t *InPlaceHits = nullptr,
-                    unsigned OptLevel = 0) {
+                    unsigned OptLevel = 0, bool *Moves = nullptr) {
   Program Plan = compileOrDie(S, Optimize, OptLevel);
+  if (Moves)
+    *Moves = std::any_of(Plan.steps().begin(), Plan.steps().end(),
+                         [](const ProgramStep &St) { return St.MoveArgs; });
   Monitor M(Plan);
   std::vector<OutputEvent> Out;
   M.setOutputHandler([&Out](Time Ts, StreamId Id, const Value &V) {
@@ -164,22 +170,30 @@ TEST(DifferentialTest, SpectrumCalculation) {
 
 TEST(DifferentialTest, RandomSpecsAgree) {
   uint64_t TotalHits = 0;
+  unsigned MovingPrograms = 0;
   for (uint64_t Seed = 1; Seed <= 25; ++Seed) {
     Spec S = testrandom::randomSpec(Seed);
     auto Events = testrandom::randomSpecTrace(S, 600, Seed * 977);
     uint64_t Hits = 0;
-    std::string Optimized = runWith(S, Events, true, &Hits);
+    bool Moves = false;
+    std::string Optimized = runWith(S, Events, true, &Hits, 0, &Moves);
     std::string Baseline = runWith(S, Events, false);
     EXPECT_EQ(Optimized, Baseline) << "seed " << Seed << "\n" << S.str();
     EXPECT_FALSE(Optimized.empty())
         << "vacuous comparison at seed " << Seed;
     TotalHits += Hits;
+    MovingPrograms += Moves;
   }
   // Not every seed must run an in-place update, but the batch as a
   // whole must — otherwise all 25 comparisons are trivially vacuous.
   EXPECT_GT(TotalHits, 0u)
       << "no in-place update ever took the destructive tier; the property "
          "is vacuous";
+  // Likewise for the moves at last use: some program must move a
+  // pass-through's argument, or the corpus never compares them.
+  EXPECT_GT(MovingPrograms, 0u)
+      << "no compiled program moves a pass-through argument; the property "
+         "is vacuous for moves";
 }
 
 TEST(DifferentialTest, RandomSpecsWithDelayAgree) {

@@ -412,6 +412,84 @@ TEST(MonitorTest, OutputHandlerValuesAreStableSnapshots) {
       }
 }
 
+// Pass-throughs move their argument at its last use instead of copying
+// it (ProgramStep::MoveArgs): a merge and a filter whose argument is read
+// again after the step must copy, next to ones whose argument nothing
+// reads later. Both engines at -O0 and -O1 must print what the
+// all-persistent reference prints.
+TEST(MonitorTest, PassThroughsMoveOnlyAtTheLastUse) {
+  Spec S = parseOrDie(R"(
+    in x: Int
+    def prev  := last(merge(y, setEmpty()), x)
+    def y     := setAdd(prev, x)
+    def kept  := merge(y, setEmpty())
+    def n     := setSize(y)
+    def big   := x > 2
+    def gated := filter(kept, big)
+    def m     := setSize(kept)
+    def moved := filter(gated, big)
+    def w     := merge(moved, setEmpty())
+    def k     := setSize(w)
+    def t     := merge(x, 0)
+    def u     := t + setSize(prev)
+    out n
+    out m
+    out k
+    out u
+  )");
+  StreamId X = *S.lookup("x");
+  std::vector<TraceEvent> Events;
+  for (int64_t I = 0; I != 40; ++I)
+    Events.push_back({X, I + 1, Value::integer((I * 7) % 11)});
+  std::string Error;
+  Program Ref = compileOrDie(S, /*Optimize=*/false);
+  std::string Expected =
+      formatOutputs(S, runMonitor(Ref, Events, std::nullopt, &Error));
+  ASSERT_EQ(Error, "");
+  ASSERT_NE(Expected.find("k = "), std::string::npos) << "vacuous";
+
+  for (unsigned Level : {0u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "-O" << Level);
+    Program P = compileOrDie(S, /*Optimize=*/true, Level);
+    // The plan: a pass-through argument moves exactly when no later step
+    // and no reader outside the step loop reads its slot.
+    std::vector<char> Pinned(P.numValueSlots() + 1, 0);
+    for (const OutputSlot &O : P.outputs())
+      Pinned[O.ValueSlot] = 1;
+    for (const LastSlot &L : P.lastSlots())
+      Pinned[L.ValueSlot] = 1;
+    unsigned Moves = 0, Copies = 0;
+    const std::vector<ProgramStep> &Steps = P.steps();
+    for (size_t K = 0; K != Steps.size(); ++K) {
+      const ProgramStep &Step = Steps[K];
+      if (Step.Op != Opcode::LiftMerge && Step.Op != Opcode::LiftFilter)
+        continue;
+      unsigned Passed = Step.Op == Opcode::LiftMerge ? Step.NumArgs : 1;
+      for (unsigned I = 0; I != Passed; ++I) {
+        SlotId Slot = Step.ArgSlot[I];
+        bool ReadLater = Slot >= P.numValueSlots() || Pinned[Slot];
+        for (size_t J = K + 1; J != Steps.size(); ++J)
+          for (unsigned A = 0; A != Steps[J].NumArgs; ++A)
+            ReadLater |= Steps[J].ArgSlot[A] == Slot;
+        bool Moved = Step.MoveArgs >> I & 1;
+        EXPECT_EQ(Moved, !ReadLater) << "step " << K << " argument " << I;
+        ++(Moved ? Moves : Copies);
+      }
+    }
+    EXPECT_GT(Moves, 0u) << "no pass-through moves; vacuous";
+    EXPECT_GT(Copies, 0u) << "no pass-through must copy; vacuous";
+
+    EXPECT_EQ(formatOutputs(S, runMonitor(P, Events, std::nullopt, &Error)),
+              Expected);
+    EXPECT_EQ(Error, "");
+    BatchedMonitor B(P);
+    EXPECT_EQ(formatOutputs(S, runEngineSingle(B, toBatch(Events),
+                                               std::nullopt, &Error)),
+              Expected);
+    EXPECT_EQ(Error, "");
+  }
+}
+
 TEST(MonitorTest, OutOfOrderInputRejected) {
   Spec S = parseOrDie("in a: Int\ndef t := time(a)\nout t");
   Program Plan = compileOrDie(S);
