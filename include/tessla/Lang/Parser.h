@@ -42,6 +42,16 @@
 #include <string_view>
 
 namespace tessla {
+
+/// The deepest nesting the parser accepts. Each parenthesis pair, call
+/// argument list, operator application (one per operator of a chain:
+/// "a + a + a" nests two deep) and type argument adds a level; deeper
+/// input fails with an error naming this bound and the location. The
+/// parser, the flattening and the passes after it walk expressions
+/// recursively, and at 256 levels each stays far inside an 8 MiB stack,
+/// also under AddressSanitizer.
+constexpr unsigned MaxNestingDepth = 256;
+
 namespace ast {
 
 /// Kind of an AST expression node. Operators are desugared to Call nodes
@@ -67,6 +77,9 @@ struct Expr {
   std::string Callee;         // Call: surface builtin name; Ident: name
   std::vector<ExprPtr> Args;  // Call/TimeOp/LastOp/DelayOp
   ConstantLit Lit;            // Literal
+  /// Levels the expression spans as written, parentheses included (see
+  /// MaxNestingDepth): 0 for a leaf.
+  unsigned Depth = 0;
 };
 
 /// "in name : Type".

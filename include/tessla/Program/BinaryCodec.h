@@ -57,18 +57,9 @@ constexpr unsigned MaxNesting = 32;
 class ByteWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(V); }
-  void u16(uint16_t V) {
-    for (unsigned I = 0; I != 2; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void u32(uint32_t V) {
-    for (unsigned I = 0; I != 4; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void u64(uint64_t V) {
-    for (unsigned I = 0; I != 8; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
+  void u16(uint16_t V) { le<2>(V); }
+  void u32(uint32_t V) { le<4>(V); }
+  void u64(uint64_t V) { le<8>(V); }
   void i64(int64_t V) { u64(static_cast<uint64_t>(V)); }
   void f64(double D) {
     uint64_t Bits;
@@ -92,6 +83,19 @@ public:
   std::vector<uint8_t> take() { return std::move(Buf); }
 
 private:
+  /// Appends the low \p N bytes of \p V, least significant first, with
+  /// one bounded append into room reserved geometrically. (A push_back per
+  /// byte, or an insert into a fresh vector, makes GCC 12's -O3 warn about
+  /// writing past an empty buffer.)
+  template <unsigned N> void le(uint64_t V) {
+    uint8_t Bytes[N];
+    for (unsigned I = 0; I != N; ++I)
+      Bytes[I] = static_cast<uint8_t>(V >> (8 * I));
+    if (Buf.capacity() - Buf.size() < N)
+      Buf.reserve(2 * Buf.capacity() + N);
+    Buf.insert(Buf.end(), Bytes, Bytes + N);
+  }
+
   std::vector<uint8_t> Buf;
 };
 

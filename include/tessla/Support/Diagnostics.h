@@ -17,6 +17,7 @@
 #include "tessla/Support/SourceLocation.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tessla {
@@ -30,8 +31,10 @@ struct Diagnostic {
   SourceLocation Loc;
   std::string Message;
 
-  /// Renders "error 3:7: message" style text.
-  std::string str() const;
+  /// Renders "error 3:7: message" style text; with \p File, the path of
+  /// the file the diagnostic is about goes in front of a known location
+  /// ("error spec.tessla:3:7: message").
+  std::string str(std::string_view File = {}) const;
 };
 
 /// Accumulates diagnostics for one front-end or analysis run.
@@ -67,8 +70,9 @@ public:
   }
 
   /// All diagnostics rendered one per line; handy for test assertions and
-  /// tool error output.
-  std::string str() const;
+  /// tool error output. Tools pass the path of the file they read as
+  /// \p File (see Diagnostic::str).
+  std::string str(std::string_view File = {}) const;
 
 private:
   std::vector<Diagnostic> Diags;

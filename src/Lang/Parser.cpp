@@ -11,6 +11,8 @@
 #include "tessla/Lang/TypeCheck.h"
 #include "tessla/Support/Format.h"
 
+#include <algorithm>
+
 using namespace tessla;
 using namespace tessla::ast;
 
@@ -43,6 +45,44 @@ private:
   std::vector<Token> Tokens;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
+  /// Nesting levels enclosing the current position (MaxNestingDepth).
+  unsigned Level = 0;
+
+  void tooDeep(SourceLocation Loc) {
+    Diags.error(Loc, formatString("nesting deeper than %u levels "
+                                  "[nesting-depth]",
+                                  MaxNestingDepth));
+  }
+
+  /// Enters one nesting level for its lifetime; !Ok (reported) past the
+  /// bound, so the recursive descent stops before it can exhaust the
+  /// stack.
+  struct Nested {
+    Parser &P;
+    bool Ok;
+    explicit Nested(Parser &P) : P(P), Ok(++P.Level <= MaxNestingDepth) {
+      if (!Ok)
+        P.tooDeep(P.peek().Loc);
+    }
+    ~Nested() { --P.Level; }
+  };
+
+  /// Gives \p E, built over \p Below levels, its depth; nullptr (reported)
+  /// when it reaches past the bound from where it stands.
+  ExprPtr deepen(ExprPtr E, unsigned Below) {
+    E->Depth = Below + 1;
+    if (Level + E->Depth > MaxNestingDepth) {
+      tooDeep(E->Loc);
+      return nullptr;
+    }
+    return E;
+  }
+  static unsigned deepestArg(const std::vector<ExprPtr> &Args) {
+    unsigned Max = 0;
+    for (const ExprPtr &A : Args)
+      Max = std::max(Max, A->Depth);
+    return Max;
+  }
 
   const Token &peek(size_t Ahead = 0) const {
     size_t I = Pos + Ahead;
@@ -139,6 +179,13 @@ private:
       return Type::string();
     if (N == "Unit")
       return Type::unit();
+    if (N != "Set" && N != "Queue" && N != "Map") {
+      Diags.error(T.Loc, formatString("unknown type '%s'", N.c_str()));
+      return std::nullopt;
+    }
+    Nested Guard(*this);
+    if (!Guard.Ok)
+      return std::nullopt;
     if (N == "Set" || N == "Queue") {
       if (!expect(TokenKind::LBracket))
         return std::nullopt;
@@ -148,19 +195,15 @@ private:
       return N == "Set" ? Type::set(std::move(*Elem))
                         : Type::queue(std::move(*Elem));
     }
-    if (N == "Map") {
-      if (!expect(TokenKind::LBracket))
-        return std::nullopt;
-      auto Key = parseType();
-      if (!Key || !expect(TokenKind::Comma))
-        return std::nullopt;
-      auto Val = parseType();
-      if (!Val || !expect(TokenKind::RBracket))
-        return std::nullopt;
-      return Type::map(std::move(*Key), std::move(*Val));
-    }
-    Diags.error(T.Loc, formatString("unknown type '%s'", N.c_str()));
-    return std::nullopt;
+    if (!expect(TokenKind::LBracket))
+      return std::nullopt;
+    auto Key = parseType();
+    if (!Key || !expect(TokenKind::Comma))
+      return std::nullopt;
+    auto Val = parseType();
+    if (!Val || !expect(TokenKind::RBracket))
+      return std::nullopt;
+    return Type::map(std::move(*Key), std::move(*Val));
   }
 
   ExprPtr makeExpr(ExprKind K, SourceLocation Loc) {
@@ -170,17 +213,23 @@ private:
     return E;
   }
 
+  /// A call node one level above its deepest argument (nullptr past the
+  /// nesting bound).
   ExprPtr makeCall(std::string Callee, std::vector<ExprPtr> Args,
                    SourceLocation Loc) {
     ExprPtr E = makeExpr(ExprKind::Call, Loc);
     E->Callee = std::move(Callee);
     E->Args = std::move(Args);
-    return E;
+    unsigned Below = deepestArg(E->Args);
+    return deepen(std::move(E), Below);
   }
 
   ExprPtr parseExpr() {
     if (at(TokenKind::KwIf)) {
       SourceLocation Loc = advance().Loc;
+      Nested Guard(*this);
+      if (!Guard.Ok)
+        return nullptr;
       ExprPtr C = parseExpr();
       if (!C || !expect(TokenKind::KwThen))
         return nullptr;
@@ -223,7 +272,7 @@ private:
       Args.push_back(std::move(Lhs));
       Args.push_back(std::move(Rhs));
       Lhs = makeCall(Name, std::move(Args), Loc);
-      if (!Chain)
+      if (!Lhs || !Chain)
         return Lhs;
     }
   }
@@ -272,6 +321,9 @@ private:
         E->Lit.V = -T.FloatValue;
         return E;
       }
+      Nested Guard(*this);
+      if (!Guard.Ok)
+        return nullptr;
       ExprPtr Sub = parseUnary();
       if (!Sub)
         return nullptr;
@@ -285,6 +337,9 @@ private:
   /// Parses "(" e1, .., en ")" into \p Args. Returns false on error.
   bool parseArgs(std::vector<ExprPtr> &Args) {
     if (!expect(TokenKind::LParen))
+      return false;
+    Nested Guard(*this);
+    if (!Guard.Ok)
       return false;
     if (at(TokenKind::RParen)) {
       advance();
@@ -357,7 +412,8 @@ private:
                                                     : ExprKind::DelayOp,
                            Loc);
       E->Args = std::move(Args);
-      return E;
+      unsigned Below = deepestArg(E->Args);
+      return deepen(std::move(E), Below);
     }
     case TokenKind::KwDefault: {
       // default(x, e) == merge(x, e-as-constant-stream); with e a general
@@ -387,10 +443,18 @@ private:
     }
     case TokenKind::LParen: {
       advance();
-      ExprPtr E = parseExpr();
+      ExprPtr E;
+      {
+        Nested Guard(*this);
+        if (!Guard.Ok)
+          return nullptr;
+        E = parseExpr();
+      }
       if (!E || !expect(TokenKind::RParen))
         return nullptr;
-      return E;
+      // The parentheses count as a level of their own.
+      unsigned Below = E->Depth;
+      return deepen(std::move(E), Below);
     }
     default:
       error(formatString("expected an expression, got %s",

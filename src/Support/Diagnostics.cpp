@@ -20,10 +20,14 @@ static const char *severityName(DiagSeverity S) {
   return "error";
 }
 
-std::string Diagnostic::str() const {
+std::string Diagnostic::str(std::string_view File) const {
   std::string Out = severityName(Severity);
   if (Loc.isValid()) {
     Out += " ";
+    if (!File.empty()) {
+      Out += File;
+      Out += ':';
+    }
     Out += Loc.str();
   }
   Out += ": ";
@@ -31,10 +35,10 @@ std::string Diagnostic::str() const {
   return Out;
 }
 
-std::string DiagnosticEngine::str() const {
+std::string DiagnosticEngine::str(std::string_view File) const {
   std::string Out;
   for (const Diagnostic &D : Diags) {
-    Out += D.str();
+    Out += D.str(File);
     Out += '\n';
   }
   return Out;

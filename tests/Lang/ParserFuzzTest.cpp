@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
 
 using namespace tessla;
 
@@ -97,6 +99,66 @@ TEST(ParserFuzzTest, PathologicalNesting) {
     Chain += " + a";
   Chain += "\nout x";
   parseAnything(Chain);
+}
+
+TEST(ParserFuzzTest, NestingPastTheBoundFailsWithADiagnostic) {
+  // Inputs 100 000 levels deep fail with a diagnostic that names the
+  // bound and the location, before any recursive pass can exhaust the
+  // stack; MaxNestingDepth levels still parse.
+  const std::string Bound = std::to_string(MaxNestingDepth);
+  auto Nested = [](const std::string &Open, const std::string &Leaf,
+                   const std::string &Close, size_t Levels) {
+    std::string S;
+    for (size_t I = 0; I != Levels; ++I)
+      S += Open;
+    S += Leaf;
+    for (size_t I = 0; I != Levels; ++I)
+      S += Close;
+    return S;
+  };
+  auto Chain = [](size_t Operators) {
+    std::string S = "a";
+    for (size_t I = 0; I != Operators; ++I)
+      S += " + a";
+    return S;
+  };
+  auto Def = [](const std::string &Expr) {
+    return "in a: Int\ndef x := " + Expr + "\nout x\n";
+  };
+  constexpr size_t Deep = 100000;
+  struct Case {
+    const char *Name;
+    std::string Source;
+    uint32_t Line; // where the diagnostic points
+  };
+  std::vector<Case> TooDeep = {
+      {"parentheses", Def(Nested("(", "a", ")", Deep)), 2},
+      {"operator chain", Def(Chain(Deep)), 2},
+      {"calls", Def(Nested("abs(", "a", ")", Deep)), 2},
+      {"unary operators", Def(std::string(Deep, '!') + "(a > 0)"), 2},
+      {"type arguments",
+       "in a: " + Nested("Set[", "Int", "]", Deep) + "\nout a\n", 1},
+      {"one past the bound", Def(Chain(MaxNestingDepth + 1)), 2},
+  };
+  for (const Case &C : TooDeep) {
+    SCOPED_TRACE(C.Name);
+    DiagnosticEngine Diags;
+    EXPECT_FALSE(parseSpec(C.Source, Diags));
+    ASSERT_TRUE(Diags.hasErrors());
+    const Diagnostic &D = Diags.diagnostics().front();
+    EXPECT_EQ(D.Message,
+              "nesting deeper than " + Bound + " levels [nesting-depth]");
+    EXPECT_EQ(D.Loc.Line, C.Line) << Diags.str();
+  }
+
+  for (const std::string &Source :
+       {Def(Chain(MaxNestingDepth)),
+        Def(Nested("(", "a", ")", MaxNestingDepth)),
+        Def(Nested("(", Chain(MaxNestingDepth / 2), ")",
+                   MaxNestingDepth / 2))}) {
+    DiagnosticEngine Diags;
+    EXPECT_TRUE(parseSpec(Source, Diags)) << Diags.str();
+  }
 }
 
 TEST(ParserFuzzTest, UnterminatedConstructs) {

@@ -158,7 +158,9 @@ TEST(TesslaRunTest, MistypedTraceFailsWithATypedDiagnostic) {
       int Rc = run(Cmd, &Err).first;
       ASSERT_TRUE(WIFEXITED(Rc)) << Cmd;
       EXPECT_EQ(WEXITSTATUS(Rc), 1) << Cmd << "\n" << Err;
-      EXPECT_NE(Err.find("2:1: input 'x': expected Int, got String"),
+      // The diagnostic names the trace it is about.
+      EXPECT_NE(Err.find("error " + Trace +
+                         ":2:1: input 'x': expected Int, got String"),
                 std::string::npos)
           << Cmd << "\n" << Err;
     }

@@ -272,7 +272,7 @@ TEST(TesslacTest, LintWarnsOnStderr) {
   std::string Err;
   auto [Rc, Out] = runTool(Path + " --lint --emit=flat", &Err);
   EXPECT_EQ(Rc, 0) << "plain --lint must not change the exit code";
-  EXPECT_NE(Err.find("warning 2:1: stream 'unused' is never read"),
+  EXPECT_NE(Err.find("warning " + Path + ":2:1: stream 'unused' is never read"),
             std::string::npos)
       << Err;
   EXPECT_NE(Err.find("[unused-stream]"), std::string::npos) << Err;
@@ -286,7 +286,7 @@ TEST(TesslacTest, WerrorFailsTheBuild) {
   std::string Err;
   auto [Rc, Out] = runTool(Path + " --werror --emit=flat", &Err);
   EXPECT_NE(Rc, 0);
-  EXPECT_NE(Err.find("error 2:1: stream 'unused' is never read"),
+  EXPECT_NE(Err.find("error " + Path + ":2:1: stream 'unused' is never read"),
             std::string::npos)
       << Err;
   // A clean spec passes --werror.

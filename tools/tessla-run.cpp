@@ -250,7 +250,7 @@ int main(int argc, char **argv) {
   DiagnosticEngine Diags;
   std::optional<Program> PlanOpt = loadProgramFile(BundlePath, Diags);
   if (!PlanOpt) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
+    std::fprintf(stderr, "%s", Diags.str(BundlePath).c_str());
     return 1;
   }
   Program &Plan = *PlanOpt;
@@ -376,9 +376,11 @@ int main(int argc, char **argv) {
       } else {
         TraceText = readStdin();
       }
-      auto Events = parseTrace(TraceText, Plan.spec(), Diags);
+      DiagnosticEngine TraceDiags;
+      auto Events = parseTrace(TraceText, Plan.spec(), TraceDiags);
       if (!Events) {
-        std::fprintf(stderr, "%s", Diags.str().c_str());
+        std::fprintf(stderr, "%s",
+                     TraceDiags.str(TracePath ? TracePath : "<stdin>").c_str());
         return 1;
       }
       unsigned Producers = std::min(FleetProducers, FleetSessions);
@@ -510,9 +512,11 @@ int main(int argc, char **argv) {
   } else {
     TraceText = readStdin();
   }
-  auto Events = parseTrace(TraceText, Plan.spec(), Diags);
+  DiagnosticEngine TraceDiags;
+  auto Events = parseTrace(TraceText, Plan.spec(), TraceDiags);
   if (!Events) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
+    std::fprintf(stderr, "%s",
+                 TraceDiags.str(TracePath ? TracePath : "<stdin>").c_str());
     return 1;
   }
 

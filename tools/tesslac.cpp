@@ -277,7 +277,7 @@ int main(int argc, char **argv) {
   DiagnosticEngine Diags;
   auto S = parseSpec(*Source, Diags);
   if (!S) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
+    std::fprintf(stderr, "%s", Diags.str(SpecPath).c_str());
     return 1;
   }
 
@@ -287,7 +287,7 @@ int main(int argc, char **argv) {
     LOpts.WarningsAsErrors = Werror;
     unsigned Findings = opt::lintSpec(*S, LintDiags, LOpts);
     if (Findings != 0)
-      std::fprintf(stderr, "%s", LintDiags.str().c_str());
+      std::fprintf(stderr, "%s", LintDiags.str(SpecPath).c_str());
     if (LintDiags.hasErrors())
       return 1;
   }
@@ -302,7 +302,7 @@ int main(int argc, char **argv) {
     OptStatistics Stats;
     auto Plan = compileSpec(*S, COpts, Diags, &Stats);
     if (!Plan) {
-      std::fprintf(stderr, "%s", Diags.str().c_str());
+      std::fprintf(stderr, "%s", Diags.str(SpecPath).c_str());
       return std::nullopt;
     }
     if (DumpPasses) {
@@ -364,7 +364,7 @@ int main(int argc, char **argv) {
     EOpts.EmitMain = EmitMain;
     auto Code = emitCppMonitor(*Plan, EOpts, Diags);
     if (!Code) {
-      std::fprintf(stderr, "%s", Diags.str().c_str());
+      std::fprintf(stderr, "%s", Diags.str(SpecPath).c_str());
       return 1;
     }
     return emitText(*Code, OutPath);
@@ -390,9 +390,10 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "cannot open %s\n", TracePath);
       return 1;
     }
-    auto Events = parseTrace(*TraceText, *S, Diags);
+    DiagnosticEngine TraceDiags;
+    auto Events = parseTrace(*TraceText, *S, TraceDiags);
     if (!Events) {
-      std::fprintf(stderr, "%s", Diags.str().c_str());
+      std::fprintf(stderr, "%s", TraceDiags.str(TracePath).c_str());
       return 1;
     }
     std::optional<Program> PlanOpt = makePlan();
