@@ -167,10 +167,8 @@ template <class State> void runCalculation(const Program &Prog, State S) {
         for (unsigned I = 0; I != Step.NumArgs; ++I) {
           size_t A = S.row(Step.ArgSlot[I]) + L;
           if (S.present(A)) {
-            if (Step.MoveArgs >> I & 1)
-              setSlot(S, Step.Dst, L, std::move(S.cur(A)));
-            else
-              setSlot(S, Step.Dst, L, S.cur(A));
+            setSlot(S, Step.Dst, L,
+                    Step.MoveArgs >> I & 1 ? std::move(S.cur(A)) : S.cur(A));
             break;
           }
         }
@@ -205,12 +203,9 @@ template <class State> void runCalculation(const Program &Prog, State S) {
         const Value &C = S.cur(Cond + L);
         if (C.kind() != Value::Kind::Bool)
           S.fail(L, S.runTs(L), Step.Id, "filter condition is not a Bool");
-        else if (!C.getBool())
-          continue;
-        else if (Step.MoveArgs)
-          setSlot(S, Step.Dst, L, std::move(S.cur(Arg + L)));
-        else
-          setSlot(S, Step.Dst, L, S.cur(Arg + L));
+        else if (C.getBool())
+          setSlot(S, Step.Dst, L,
+                  Step.MoveArgs ? std::move(S.cur(Arg + L)) : S.cur(Arg + L));
       }
       break;
     }
