@@ -53,9 +53,9 @@
 namespace tessla {
 
 namespace hamt_detail {
-/// Population count by bit tricks: std::popcount compiles to a libgcc
-/// call on baseline x86-64, which has no popcnt instruction, and the
-/// trie counts bits at every level of every walk.
+/// Population count by bit tricks: the standard library's popcount is a
+/// libgcc call on baseline x86-64, which has no popcnt instruction, and
+/// the trie counts bits at every level of every walk.
 inline unsigned popcount(uint32_t X) {
   X -= (X >> 1) & 0x55555555u;
   X = (X & 0x33333333u) + ((X >> 2) & 0x33333333u);
