@@ -227,22 +227,24 @@ private:
   ExprPtr parseExpr() {
     if (at(TokenKind::KwIf)) {
       SourceLocation Loc = advance().Loc;
-      Nested Guard(*this);
-      if (!Guard.Ok)
-        return nullptr;
-      ExprPtr C = parseExpr();
-      if (!C || !expect(TokenKind::KwThen))
-        return nullptr;
-      ExprPtr A = parseExpr();
-      if (!A || !expect(TokenKind::KwElse))
-        return nullptr;
-      ExprPtr B = parseExpr();
-      if (!B)
-        return nullptr;
       std::vector<ExprPtr> Args;
-      Args.push_back(std::move(C));
-      Args.push_back(std::move(A));
-      Args.push_back(std::move(B));
+      {
+        Nested Guard(*this);
+        if (!Guard.Ok)
+          return nullptr;
+        ExprPtr C = parseExpr();
+        if (!C || !expect(TokenKind::KwThen))
+          return nullptr;
+        ExprPtr A = parseExpr();
+        if (!A || !expect(TokenKind::KwElse))
+          return nullptr;
+        ExprPtr B = parseExpr();
+        if (!B)
+          return nullptr;
+        Args.push_back(std::move(C));
+        Args.push_back(std::move(A));
+        Args.push_back(std::move(B));
+      }
       return makeCall("ite", std::move(Args), Loc);
     }
     return parseOr();
@@ -321,10 +323,13 @@ private:
         E->Lit.V = -T.FloatValue;
         return E;
       }
-      Nested Guard(*this);
-      if (!Guard.Ok)
-        return nullptr;
-      ExprPtr Sub = parseUnary();
+      ExprPtr Sub;
+      {
+        Nested Guard(*this);
+        if (!Guard.Ok)
+          return nullptr;
+        Sub = parseUnary();
+      }
       if (!Sub)
         return nullptr;
       std::vector<ExprPtr> Args;

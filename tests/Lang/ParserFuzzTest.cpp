@@ -154,6 +154,8 @@ TEST(ParserFuzzTest, NestingPastTheBoundFailsWithADiagnostic) {
   for (const std::string &Source :
        {Def(Chain(MaxNestingDepth)),
         Def(Nested("(", "a", ")", MaxNestingDepth)),
+        // The parentheses and the comparison are two of the levels.
+        Def(std::string(MaxNestingDepth - 2, '!') + "(a > 0)"),
         Def(Nested("(", Chain(MaxNestingDepth / 2), ")",
                    MaxNestingDepth / 2))}) {
     DiagnosticEngine Diags;
