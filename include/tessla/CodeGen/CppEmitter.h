@@ -48,7 +48,10 @@ struct CppEmitterOptions {
   bool EmitBenchMain = false;
   /// Emit the `tessla_native_*` extern "C" entry points so the file can
   /// be compiled into a shared object and dlopen'd by the native
-  /// execution engine (CodeGen/NativeCompile.h). Implies throwing
+  /// execution engine (CodeGen/NativeCompile.h). The monitor then hands
+  /// each output to a C callback as its index into Program::outputs()
+  /// plus the value's bc::writeValue bytes, written into one reused
+  /// buffer (no std::function, no text). Implies throwing
   /// failure handling (TESSLA_CGEN_FAIL_THROWS) so a monitor runtime
   /// error surfaces as a recoverable per-instance error string —
   /// rendered `at t=<ts>, stream '<name>': <msg>`, byte-identical to
@@ -63,8 +66,9 @@ struct CppEmitterOptions {
 
 /// ABI version of the emitted native shim; tessla_native_abi() returns
 /// this and the loader refuses anything else. Bump on any change to the
-/// extern "C" surface below.
-inline constexpr int64_t NativeShimAbiVersion = 1;
+/// extern "C" surface or to the bytes it passes. v2: outputs travel as
+/// (output index, codec bytes) instead of (stream name, rendered text).
+inline constexpr int64_t NativeShimAbiVersion = 2;
 
 /// Emits \p P as a C++ translation unit, following the program's step
 /// order and mutability set.

@@ -43,6 +43,17 @@
 ///                            RuntimeSupport.h (default: baked in at
 ///                            build time)
 ///
+/// ## Output contract (shim ABI v2)
+///
+/// The shim calls the host's OutputFn once per output event with the
+/// event's timestamp, its index into Program::outputs() and the value
+/// in bc::writeValue's encoding (CodeGen/RuntimeSupport.h writes it).
+/// The host decodes the bytes with bc::readValue and accepts the event
+/// only if the index is in range, the bytes are consumed exactly and
+/// the value conforms to the output stream's declared type; anything
+/// else fails that lane alone, with an `at t=<ts>, stream '<name>':`
+/// error (the index stands in for the name when it is out of range).
+///
 /// ## Migration contract
 ///
 /// The native engine does not implement extractLane()/insertLane():
@@ -50,10 +61,10 @@
 /// instance pointer, so supportsMigration() is false and the fleet's
 /// work stealing is inert for native shards. Everything else of the
 /// ShardEngine contract — feed validation order, error texts, output
-/// bytes, output counting without a handler — is byte-identical to
-/// Monitor; the host side runs the engines' one record check
-/// (Runtime/RecordCheck.h) before crossing the C boundary because the
-/// generated feed keeps only a weaker ordering backstop.
+/// values, output counting without a handler — matches Monitor; the
+/// host side runs the engines' one record check (Runtime/RecordCheck.h)
+/// before crossing the C boundary because the generated feed keeps only
+/// a weaker ordering backstop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,8 +104,8 @@ public:
 
   /// Resolved tessla_native_* entry points (see the shim emitted by
   /// CppEmitterOptions::EmitNativeShim).
-  using OutputFn = void (*)(void *Ctx, int64_t Ts, const char *Stream,
-                            const char *Value);
+  using OutputFn = void (*)(void *Ctx, int64_t Ts, int32_t Output,
+                            const uint8_t *Bytes, size_t Size);
   void *(*create)(OutputFn Fn, void *Ctx) = nullptr;
   int32_t (*feed)(void *Inst, int32_t Input, int64_t Ts, int64_t IntV,
                   double FloatV, const char *StrV, int32_t BoolV) = nullptr;

@@ -93,14 +93,6 @@ parseTrace(std::string_view Text, const Spec &S, DiagnosticEngine &Diags);
 /// Parses one scalar value literal (42, 1.5, true, "s", ()).
 std::optional<Value> parseValueLiteral(std::string_view Text);
 
-/// Parses one full value rendering as produced by Value::str(): scalars
-/// plus sets "{1, 2}", maps "{1 -> 2}", queues "<1, 2>", arbitrarily
-/// nested. Aggregates are rebuilt in the mutable representation, and
-/// "{}" parses as an empty set (empty sets and maps render identically)
-/// — callers compare renderings, not representations. The native tier
-/// uses this to lift generated-monitor output text back into Values.
-std::optional<Value> parseValueText(std::string_view Text);
-
 /// Renders one output event as "ts: name = value".
 std::string formatEvent(const Spec &S, const OutputEvent &E);
 

@@ -261,11 +261,11 @@ std::optional<std::string> Emitter::run() {
   emitHeader();
   line("class " + Opts.ClassName + " {");
   line("public:");
-  line("  using OutputFn =");
-  line("      std::function<void(int64_t, const char *, const "
-       "std::string &)>;");
-  line("  void setOutputHandler(OutputFn Fn) { Out = std::move(Fn); }");
   if (Opts.EmitNativeShim) {
+    line("  void setOutput(tessla_native_output_fn Fn, void *Ctx) {");
+    line("    OutFn = Fn;");
+    line("    OutCtx = Ctx;");
+    line("  }");
     line("  // Native-shim introspection: the failure context for");
     line("  // rendering interpreter-identical error messages, and the");
     line("  // output count (maintained even without a handler, like");
@@ -274,6 +274,11 @@ std::optional<std::string> Emitter::run() {
     line("  const char *cgenCtx() const { return CgenCtx; }");
     line("  void cgenClearContext() { CgenCtx = nullptr; }");
     line("  uint64_t cgenNumOutputs() const { return NumOutputs; }");
+  } else {
+    line("  using OutputFn =");
+    line("      std::function<void(int64_t, const char *, const "
+         "std::string &)>;");
+    line("  void setOutputHandler(OutputFn Fn) { Out = std::move(Fn); }");
   }
   line();
   emitFeeds();
@@ -286,7 +291,13 @@ std::optional<std::string> Emitter::run() {
   line("  }");
   line();
   line("private:");
-  line("  OutputFn Out;");
+  if (Opts.EmitNativeShim) {
+    line("  tessla_native_output_fn OutFn = nullptr;");
+    line("  void *OutCtx = nullptr;");
+    line("  tessla::cgen::ValueWriter OutBytes; // reused by every output");
+  } else {
+    line("  OutputFn Out;");
+  }
   line("  int64_t PendingTs = 0;");
   line("  bool CalcDone = false;");
   line("  bool Finished = false;");
@@ -294,6 +305,15 @@ std::optional<std::string> Emitter::run() {
     line("  int64_t CgenTs = 0;");
     line("  const char *CgenCtx = nullptr;");
     line("  uint64_t NumOutputs = 0;");
+    line();
+    line("  // Hands output number Index (of the program's outputs) to the");
+    line("  // host as tessla::bc::writeValue bytes.");
+    line("  template <typename T>");
+    line("  void emitOutput(int64_t Ts, int32_t Index, const T &V) {");
+    line("    OutBytes.clear();");
+    line("    tessla::cgen::writeValue(OutBytes, V);");
+    line("    OutFn(OutCtx, Ts, Index, OutBytes.data(), OutBytes.size());");
+    line("  }");
   }
   line();
   emitVariables();
@@ -340,11 +360,23 @@ void Emitter::emitHeader() {
   line("#include \"tessla/CodeGen/RuntimeSupport.h\"");
   line();
   line("#include <cmath>");
+  line("#include <cstddef>");
   line("#include <cstdint>");
-  line("#include <functional>");
+  if (!Opts.EmitNativeShim)
+    line("#include <functional>");
   line("#include <limits>");
   line("#include <string>");
   line();
+  if (Opts.EmitNativeShim) {
+    line("// The host's output callback (ABI v" +
+         std::to_string(NativeShimAbiVersion) + "): the event's timestamp,");
+    line("// its index into the program's outputs, and its value as");
+    line("// tessla::bc::writeValue bytes, valid only during the call.");
+    line("extern \"C\" typedef void (*tessla_native_output_fn)(");
+    line("    void *Ctx, int64_t Ts, int32_t Output, const uint8_t *Bytes,");
+    line("    size_t Size);");
+    line();
+  }
 }
 
 void Emitter::emitVariables() {
@@ -943,7 +975,8 @@ void Emitter::emitCalc() {
 
   line();
   line("    // --- Emit outputs. ---");
-  for (const OutputSlot &O : P.outputs()) {
+  for (size_t Index = 0; Index != P.outputs().size(); ++Index) {
+    const OutputSlot &O = P.outputs()[Index];
     if (dead(O.Id)) {
       line("    // output " + S.stream(O.Id).Name + ": never fires");
       continue;
@@ -952,9 +985,9 @@ void Emitter::emitCalc() {
       // Count outputs even without a handler, like Monitor.
       line("    if (" + has(O.Id) + ") {");
       line("      ++NumOutputs;");
-      line("      if (Out)");
-      line("        Out(ts, \"" + S.stream(O.Id).Name +
-           "\", tessla::cgen::str(" + var(O.Id) + "));");
+      line("      if (OutFn)");
+      line("        emitOutput(ts, " + std::to_string(Index) + ", " +
+           var(O.Id) + "); // " + S.stream(O.Id).Name);
       line("    }");
     } else {
       line("    if (" + has(O.Id) + " && Out)");
@@ -1145,10 +1178,6 @@ void Emitter::emitNativeShim() {
   line();
   line("extern \"C\" {");
   line();
-  line("typedef void (*tessla_native_output_fn)(void *Ctx, int64_t Ts,");
-  line("                                        const char *Stream,");
-  line("                                        const char *Value);");
-  line();
   line("int64_t tessla_native_abi(void) { return " +
        std::to_string(NativeShimAbiVersion) + "; }");
   line();
@@ -1171,11 +1200,7 @@ void Emitter::emitNativeShim() {
   line();
   line("void *tessla_native_create(tessla_native_output_fn Fn, void *Ctx) {");
   line("  auto *I = new TesslaNativeInstance();");
-  line("  if (Fn)");
-  line("    I->M.setOutputHandler([Fn, Ctx](int64_t Ts, const char *Stream,");
-  line("                                    const std::string &V) {");
-  line("      Fn(Ctx, Ts, Stream, V.c_str());");
-  line("    });");
+  line("  I->M.setOutput(Fn, Ctx);");
   line("  return I;");
   line("}");
   line();

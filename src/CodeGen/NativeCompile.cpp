@@ -7,9 +7,9 @@
 #include "tessla/CodeGen/NativeCompile.h"
 
 #include "tessla/CodeGen/CppEmitter.h"
+#include "tessla/Program/BinaryCodec.h"
 #include "tessla/Program/Serialize.h"
 #include "tessla/Runtime/RecordCheck.h"
-#include "tessla/Runtime/TraceIO.h"
 #include "tessla/Support/Format.h"
 
 #include <cstdlib>
@@ -20,7 +20,6 @@
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#include <unordered_map>
 
 using namespace tessla;
 namespace fs = std::filesystem;
@@ -253,20 +252,18 @@ bool buildInto(const Program &P, const NativeCompileOptions &Opts,
 
 /// The native ShardEngine: one shim instance per lane, the engines' one
 /// record check (Runtime/RecordCheck.h) run host-side (the generated feed
-/// keeps only a weak ordering backstop), outputs lifted back into Values via
-/// parseValueText so downstream comparison and printing are engine-
-/// agnostic.
+/// keeps only a weak ordering backstop), outputs decoded from their codec
+/// bytes and checked against the output's declared type, so downstream
+/// comparison and printing are engine-agnostic.
 class NativeShardEngine final : public ShardEngine {
 public:
   NativeShardEngine(std::shared_ptr<NativeMonitorLibrary> Lib,
                     const Program &Prog, bool CollectOutputs)
-      : Lib(std::move(Lib)), Prog(Prog), CollectOutputs(CollectOutputs) {
-    const Spec &S = Prog.spec();
-    const std::vector<StreamId> &Inputs = S.inputs();
+      : Lib(std::move(Lib)), Prog(Prog), CollectOutputs(CollectOutputs),
+        InputIndex(Prog.spec().numStreams(), -1) {
+    const std::vector<StreamId> &Inputs = Prog.spec().inputs();
     for (size_t I = 0; I != Inputs.size(); ++I)
       InputIndex[Inputs[I]] = static_cast<int32_t>(I);
-    for (const OutputSlot &O : Prog.outputs())
-      OutIdOf[S.stream(O.Id).Name] = O.Id;
   }
 
   ~NativeShardEngine() override {
@@ -387,26 +384,46 @@ private:
   std::shared_ptr<NativeMonitorLibrary> Lib;
   const Program &Prog;
   const bool CollectOutputs;
-  std::unordered_map<StreamId, int32_t> InputIndex;
-  std::unordered_map<std::string, StreamId> OutIdOf;
+  std::vector<int32_t> InputIndex; // by StreamId; -1 for non-inputs
   std::vector<std::unique_ptr<LaneData>> Lanes;
   std::vector<unsigned> FreeLanes;
   size_t NumLive = 0;
   bool EngineFinished = false;
 
-  static void onOutput(void *Ctx, int64_t Ts, const char *Stream,
-                       const char *ValueText) {
+  static void onOutput(void *Ctx, int64_t Ts, int32_t Output,
+                       const uint8_t *Bytes, size_t Size) {
     auto *D = static_cast<LaneData *>(Ctx);
-    auto It = D->Owner->OutIdOf.find(Stream);
-    std::optional<Value> V = parseValueText(ValueText);
-    if (It == D->Owner->OutIdOf.end() || !V) {
-      if (D->CallbackError.empty())
-        D->CallbackError = formatString(
-            "native output '%s = %s' does not lift back into a value",
-            Stream, ValueText);
+    if (!D->CallbackError.empty())
+      return; // the lane fails when the native call returns
+    const Program &Prog = D->Owner->Prog;
+    if (Output < 0 || static_cast<size_t>(Output) >= Prog.outputs().size()) {
+      D->CallbackError = formatString(
+          "at t=%lld: native output index %d is out of range (the program "
+          "has %zu outputs)",
+          static_cast<long long>(Ts), Output, Prog.outputs().size());
       return;
     }
-    D->Outputs.push_back({Ts, It->second, std::move(*V)});
+    StreamId Id = Prog.outputs()[Output].Id;
+    bc::ByteReader R(Bytes, Size);
+    DiagnosticEngine Diags;
+    bc::DecodeContext Dc{Diags, "native output"};
+    Value V = bc::readValue(R, Dc);
+    const Type &Ty = Prog.spec().stream(Id).Ty;
+    if (Dc.Ok && !R.failed() && R.atEnd() && conformsTo(Ty, V)) {
+      D->Outputs.push_back({Ts, Id, std::move(V)});
+      return;
+    }
+    std::string Why;
+    if (!Dc.Ok)
+      Why = Diags.diagnostics().front().Message;
+    else if (R.failed())
+      Why = "native output: truncated value";
+    else if (!R.atEnd())
+      Why = formatString("native output: %zu trailing bytes after the value",
+                         R.remaining());
+    else
+      Why = "native output: " + mistypedMessage(Ty, V);
+    D->CallbackError = failureAt(Prog.spec(), Ts, Id, Why);
   }
 
   bool fail(LaneData &D, std::string Message) {
@@ -448,7 +465,7 @@ private:
     default:
       break; // Unit carries no payload; aggregates fail emission
     }
-    int32_t Ok = Lib->feed(D.Inst, InputIndex.at(Input), Ts, IntV, FloatV,
+    int32_t Ok = Lib->feed(D.Inst, InputIndex[Input], Ts, IntV, FloatV,
                            StrV, BoolV);
     if (!Ok) {
       takeNativeError(D);

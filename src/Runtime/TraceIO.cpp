@@ -6,7 +6,6 @@
 
 #include "tessla/Runtime/TraceIO.h"
 
-#include "tessla/Runtime/Containers.h"
 #include "tessla/Runtime/RecordCheck.h"
 #include "tessla/Support/Format.h"
 
@@ -61,165 +60,6 @@ std::optional<Value> tessla::parseValueLiteral(std::string_view Text) {
   if (parseDouble(Text, FloatVal))
     return Value::floating(FloatVal);
   return std::nullopt;
-}
-
-namespace {
-
-/// Recursive-descent parser over canonical Value::str() renderings.
-/// Scalars are delegated to parseValueLiteral; aggregates recurse.
-class ValueTextParser {
-public:
-  explicit ValueTextParser(std::string_view S) : S(S) {}
-
-  std::optional<Value> parseWhole() {
-    auto V = parseValue();
-    if (!V)
-      return std::nullopt;
-    skipWs();
-    if (Pos != S.size())
-      return std::nullopt;
-    return V;
-  }
-
-private:
-  std::string_view S;
-  size_t Pos = 0;
-
-  void skipWs() {
-    while (Pos < S.size() && std::isspace(static_cast<unsigned char>(S[Pos])))
-      ++Pos;
-  }
-  bool consumeChar(char C) {
-    skipWs();
-    if (Pos < S.size() && S[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-  bool consumeArrow() {
-    skipWs();
-    if (Pos + 1 < S.size() && S[Pos] == '-' && S[Pos + 1] == '>') {
-      Pos += 2;
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<Value> parseValue() {
-    skipWs();
-    if (Pos >= S.size())
-      return std::nullopt;
-    char C = S[Pos];
-    if (C == '{')
-      return parseSetOrMap();
-    if (C == '<')
-      return parseQueue();
-    if (C == '"')
-      return parseString();
-    return parseScalar();
-  }
-
-  std::optional<Value> parseString() {
-    size_t Start = Pos;
-    ++Pos; // opening quote
-    while (Pos < S.size()) {
-      if (S[Pos] == '\\') {
-        Pos += 2;
-        continue;
-      }
-      if (S[Pos] == '"') {
-        ++Pos;
-        return parseValueLiteral(S.substr(Start, Pos - Start));
-      }
-      ++Pos;
-    }
-    return std::nullopt;
-  }
-
-  /// Non-string scalar: extends to the next structural delimiter. A '-'
-  /// only terminates as part of a map's "->" — numbers like "1e-5" run
-  /// through it.
-  std::optional<Value> parseScalar() {
-    size_t Start = Pos;
-    while (Pos < S.size()) {
-      char C = S[Pos];
-      if (C == ',' || C == '}' || C == '>')
-        break;
-      if (C == '-' && Pos + 1 < S.size() && S[Pos + 1] == '>')
-        break;
-      ++Pos;
-    }
-    if (Pos == Start)
-      return std::nullopt;
-    return parseValueLiteral(S.substr(Start, Pos - Start));
-  }
-
-  std::optional<Value> parseSetOrMap() {
-    ++Pos; // '{'
-    if (consumeChar('}'))
-      return Value::emptySet(); // "{}": empty set and map render
-                                // identically
-    auto First = parseValue();
-    if (!First)
-      return std::nullopt;
-    if (consumeArrow())
-      return parseMapRest(std::move(*First));
-    SetCow Set = Value::emptySet().setCow(true);
-    Set.add(std::move(*First));
-    while (!consumeChar('}')) {
-      if (!consumeChar(','))
-        return std::nullopt;
-      auto Elem = parseValue();
-      if (!Elem)
-        return std::nullopt;
-      Set.add(std::move(*Elem));
-    }
-    return std::move(Set).finish();
-  }
-
-  std::optional<Value> parseMapRest(Value FirstKey) {
-    MapCow Map = Value::emptyMap().mapCow(true);
-    auto FirstVal = parseValue();
-    if (!FirstVal)
-      return std::nullopt;
-    Map.put(std::move(FirstKey), std::move(*FirstVal));
-    while (!consumeChar('}')) {
-      if (!consumeChar(','))
-        return std::nullopt;
-      auto Key = parseValue();
-      if (!Key || !consumeArrow())
-        return std::nullopt;
-      auto Val = parseValue();
-      if (!Val)
-        return std::nullopt;
-      Map.put(std::move(*Key), std::move(*Val));
-    }
-    return std::move(Map).finish();
-  }
-
-  std::optional<Value> parseQueue() {
-    ++Pos; // '<'
-    QueueCow Queue = Value::emptyQueue().queueCow(true);
-    if (consumeChar('>'))
-      return std::move(Queue).finish();
-    while (true) {
-      auto Elem = parseValue();
-      if (!Elem)
-        return std::nullopt;
-      Queue.enqueue(std::move(*Elem));
-      if (consumeChar('>'))
-        return std::move(Queue).finish();
-      if (!consumeChar(','))
-        return std::nullopt;
-    }
-  }
-};
-
-} // namespace
-
-std::optional<Value> tessla::parseValueText(std::string_view Text) {
-  return ValueTextParser(trim(Text)).parseWhole();
 }
 
 std::optional<std::vector<TraceEvent>>

@@ -132,3 +132,39 @@ TEST(CppEmitterTest, UnsupportedConstructsReported) {
     EXPECT_TRUE(Diags.hasErrors());
   }
 }
+
+// In shim mode the monitor hands each output to a C callback as its
+// index into Program::outputs() plus codec bytes: no std::function and no
+// text rendering. The standalone driver keeps its text path.
+TEST(CppEmitterTest, NativeShimPassesOutputsAsIndexAndCodecBytes) {
+  Spec S = parseOrDie(R"(
+    in i: Int
+    def s := setAdd(merge(last(s, i), setEmpty()), i)
+    def f := toFloat(i)
+    out f
+    out s
+  )");
+  Program P = compileOrDie(S);
+  CppEmitterOptions Opts;
+  Opts.EmitNativeShim = true;
+  DiagnosticEngine Diags;
+  auto Source = emitCppMonitor(P, Opts, Diags);
+  ASSERT_TRUE(Source) << Diags.str();
+  EXPECT_EQ(Source->find("std::function"), std::string::npos) << *Source;
+  EXPECT_EQ(Source->find("cgen::str("), std::string::npos) << *Source;
+  ASSERT_EQ(P.outputs().size(), 2u);
+  for (size_t I = 0; I != P.outputs().size(); ++I) {
+    const std::string &Name = S.stream(P.outputs()[I].Id).Name;
+    EXPECT_NE(Source->find("emitOutput(ts, " + std::to_string(I) + ", v_" +
+                           Name + "); // " + Name),
+              std::string::npos)
+        << *Source;
+  }
+  EXPECT_NE(Source->find("tessla_native_abi(void) { return " +
+                         std::to_string(NativeShimAbiVersion) + "; }"),
+            std::string::npos);
+
+  std::string Standalone = emit(S, /*Optimize=*/false, /*EmitMain=*/true);
+  EXPECT_NE(Standalone.find("std::function"), std::string::npos);
+  EXPECT_NE(Standalone.find("tessla::cgen::str(v_f)"), std::string::npos);
+}

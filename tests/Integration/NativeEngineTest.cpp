@@ -18,7 +18,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "tessla/CodeGen/CppEmitter.h"
 #include "tessla/CodeGen/NativeCompile.h"
+#include "tessla/Program/BinaryCodec.h"
+#include "tessla/Program/Serialize.h"
 #include "tessla/Runtime/MonitorFleet.h"
 #include "tessla/Runtime/TraceIO.h"
 
@@ -26,9 +29,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <vector>
 
 using namespace tessla;
@@ -85,6 +90,14 @@ std::string engineOutput(ShardEngine &Engine,
   auto Outputs = runEngineSingle(Engine, Batch, std::nullopt, &Error);
   EXPECT_EQ(Error, "");
   return formatOutputs(S, Outputs);
+}
+
+/// The value's codec bytes: equal bytes mean the same kind and the same
+/// bits (a Float's sign and NaN payload included).
+std::vector<uint8_t> codecBytes(const Value &V) {
+  bc::ByteWriter W;
+  bc::writeValue(W, V);
+  return W.take();
 }
 
 } // namespace
@@ -304,6 +317,265 @@ TEST(NativeEngineTest, MistypedRecordFailsOnlyItsSession) {
       Healthy[E.Session] += formatEvent(S, E.Event) + "\n";
   EXPECT_EQ(Healthy[0], Reference);
   EXPECT_EQ(Healthy[1], Reference);
+}
+
+// Native Float outputs keep their kind and bits: an integral Float (2.0)
+// stays a Float rather than becoming the Int 2, -0.0 keeps its sign, and
+// inf and NaN survive. A text round trip loses the first two.
+TEST(NativeEngineTest, FloatOutputsKeepTheirKindAndBits) {
+  Spec S = parseOrDie(R"(
+    in x: Int
+    def f := toFloat(x)
+    def q := f / toFloat(x - 2)
+    def r := toFloat(x - 2) / toFloat(x - 2)
+    out f
+    out q
+    out r
+  )");
+  Program P = compileOrDie(S);
+  StreamId X = *S.lookup("x");
+  std::vector<TraceEvent> Events = {{X, 1, Value::integer(2)},
+                                    {X, 2, Value::integer(3)},
+                                    {X, 3, Value::integer(0)}};
+  std::string Error;
+  std::vector<OutputEvent> Reference =
+      runMonitor(P, Events, std::nullopt, &Error);
+  ASSERT_EQ(Error, "");
+  ASSERT_EQ(Reference.size(), 9u);
+  // The trace holds every case this test is about.
+  const Value &Q3 = Reference[7].V;
+  ASSERT_EQ(S.stream(Reference[7].Id).Name, "q");
+  ASSERT_TRUE(Q3.kind() == Value::Kind::Float && Q3.getFloat() == 0 &&
+              std::signbit(Q3.getFloat()));
+  ASSERT_TRUE(std::isinf(Reference[1].V.getFloat()));
+  ASSERT_TRUE(std::isnan(Reference[2].V.getFloat()));
+
+  auto ExpectSame = [&](const std::vector<OutputEvent> &Got,
+                        const char *Where) {
+    ASSERT_EQ(Got.size(), Reference.size()) << Where;
+    for (size_t I = 0; I != Got.size(); ++I) {
+      const OutputEvent &G = Got[I], &R = Reference[I];
+      EXPECT_EQ(G.Ts, R.Ts) << Where << " #" << I;
+      EXPECT_EQ(G.Id, R.Id) << Where << " #" << I;
+      EXPECT_EQ(G.V.kind(), R.V.kind())
+          << Where << " #" << I << ": " << G.V.str();
+      EXPECT_EQ(codecBytes(G.V), codecBytes(R.V))
+          << Where << " #" << I << ": " << G.V.str() << " vs " << R.V.str();
+    }
+    const Value &GotQ3 = Got[7].V;
+    EXPECT_TRUE(GotQ3.kind() == Value::Kind::Float &&
+                std::signbit(GotQ3.getFloat()))
+        << Where << ": q at t=3 must be -0.0, got " << GotQ3.str();
+    EXPECT_EQ(formatOutputs(S, Got), formatOutputs(S, Reference)) << Where;
+  };
+
+  NativeCompileOptions Opts;
+  Opts.CacheDir = freshDir("floats");
+  auto Lib = compileNative(P, Opts, Error);
+  if (!Lib)
+    GTEST_SKIP() << "native tier unavailable: " << Error;
+
+  auto Engine = makeNativeEngineFactory(Lib)(P, true);
+  EventBatch Batch;
+  for (const auto &[Id, Ts, V] : Events)
+    Batch.Records.push_back({0, Id, Ts, V});
+  std::vector<OutputEvent> Single =
+      runEngineSingle(*Engine, Batch, std::nullopt, &Error);
+  ASSERT_EQ(Error, "");
+  ExpectSame(Single, "runEngineSingle");
+
+  FleetOptions FOpts;
+  FOpts.Shards = 2;
+  FOpts.Mode = FleetMode::Native;
+  FOpts.NativeFactory = makeNativeEngineFactory(Lib);
+  MonitorFleet Fleet(P, FOpts);
+  ASSERT_EQ(Fleet.mode(), FleetMode::Native);
+  ProducerHandle Prod = Fleet.producer();
+  for (const auto &[Id, Ts, V] : Events)
+    for (SessionId Session : {3, 4})
+      ASSERT_TRUE(Prod.feed(Session, Id, Ts, V));
+  Prod.close();
+  Fleet.finish();
+  ASSERT_FALSE(Fleet.failed());
+  std::vector<OutputEvent> PerSession[2];
+  for (SessionOutputEvent &E : Fleet.takeOutputs())
+    PerSession[E.Session - 3].push_back(std::move(E.Event));
+  ExpectSame(PerSession[0], "fleet session 3");
+  ExpectSame(PerSession[1], "fleet session 4");
+}
+
+namespace {
+
+/// A hand-written shim for the program `in x: Int`, `out y: Int`,
+/// `out z: Float` that misbehaves on request: fed x = k, it sends output
+/// case k at that timestamp; fed anything else, it sends a well-formed
+/// y = x + 1 and z = x. Every payload is a heap buffer of exactly its
+/// size, so an over-read on the host is an ASan report.
+constexpr const char *HostileShimSource = R"(
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+extern "C" {
+typedef void (*OutputFn)(void *Ctx, int64_t Ts, int32_t Output,
+                         const uint8_t *Bytes, size_t Size);
+}
+
+namespace {
+struct Inst {
+  OutputFn Fn;
+  void *Ctx;
+  uint64_t Outputs;
+};
+
+void send(Inst *I, int64_t Ts, int32_t Output, std::vector<uint8_t> Bytes) {
+  uint8_t *Exact = new uint8_t[Bytes.size() ? Bytes.size() : 1];
+  if (!Bytes.empty())
+    std::memcpy(Exact, Bytes.data(), Bytes.size());
+  ++I->Outputs;
+  if (I->Fn)
+    I->Fn(I->Ctx, Ts, Output, Exact, Bytes.size());
+  delete[] Exact;
+}
+
+std::vector<uint8_t> scalar(uint8_t Kind, uint64_t Bits) {
+  std::vector<uint8_t> B{Kind};
+  for (int I = 0; I != 8; ++I)
+    B.push_back(static_cast<uint8_t>(Bits >> (8 * I)));
+  return B;
+}
+} // namespace
+
+extern "C" {
+int64_t tessla_native_abi(void) { return ABI; }
+uint64_t tessla_native_checksum(void) { return CHECKSUM; }
+int32_t tessla_native_num_inputs(void) { return 1; }
+const char *tessla_native_input_name(int32_t I) {
+  return I == 0 ? "x" : nullptr;
+}
+void *tessla_native_create(OutputFn Fn, void *Ctx) {
+  return new Inst{Fn, Ctx, 0};
+}
+int32_t tessla_native_feed(void *P, int32_t, int64_t Ts, int64_t X, double,
+                           const char *, int32_t) {
+  Inst *I = static_cast<Inst *>(P);
+  std::vector<uint8_t> Y = scalar(2, static_cast<uint64_t>(X + 1));
+  switch (X) {
+  case 1: // an output index past the program's outputs
+    send(I, Ts, 7, Y);
+    break;
+  case 2: // truncated bytes
+    Y.resize(4);
+    send(I, Ts, 0, Y);
+    break;
+  case 3: // trailing bytes
+    Y.push_back(0);
+    Y.push_back(0);
+    send(I, Ts, 0, Y);
+    break;
+  case 4: // an unknown kind byte
+    send(I, Ts, 1, scalar(9, 0));
+    break;
+  case 5: // a well-formed value of the wrong kind (Int on a Float output)
+    send(I, Ts, 1, Y);
+    break;
+  case 6: // a negative output index
+    send(I, Ts, -1, Y);
+    break;
+  default: {
+    send(I, Ts, 0, Y);
+    double Z = static_cast<double>(X);
+    uint64_t Bits;
+    std::memcpy(&Bits, &Z, sizeof(Bits));
+    send(I, Ts, 1, scalar(3, Bits));
+  }
+  }
+  return 1;
+}
+int32_t tessla_native_finish(void *, int64_t, int32_t) { return 1; }
+const char *tessla_native_error(void *) { return nullptr; }
+uint64_t tessla_native_num_outputs(void *P) {
+  return static_cast<Inst *>(P)->Outputs;
+}
+void tessla_native_destroy(void *P) { delete static_cast<Inst *>(P); }
+}
+)";
+
+} // namespace
+
+// A shim that sends malformed outputs fails only the lane it sent them
+// on, with an error naming the output stream (or the index, when it is
+// out of range); the other lanes of the engine keep running.
+TEST(NativeEngineTest, HostileShimFailsOnlyItsOwnLane) {
+  Spec S = parseOrDie(R"(
+    in x: Int
+    def y := x + 1
+    def z := toFloat(x)
+    out y
+    out z
+  )");
+  Program P = compileOrDie(S);
+  StreamId X = *S.lookup("x");
+  std::vector<uint8_t> Tpb = serializeProgram(P);
+  uint64_t Checksum = tpbChecksum(Tpb.data(), Tpb.size());
+
+  std::string Dir = freshDir("hostile");
+  std::string Src = Dir + "/hostile.cpp", So = Dir + "/hostile.so";
+  {
+    std::ofstream Out(Src);
+    Out << "#define ABI " << NativeShimAbiVersion << "\n"
+        << "#define CHECKSUM " << Checksum << "ULL\n"
+        << HostileShimSource;
+  }
+  const char *Env = std::getenv("TESSLA_NATIVE_CXX");
+  std::string Cxx = Env && *Env ? Env : TESSLA_TEST_CXX;
+  std::string Cmd = Cxx + " -std=c++20 -O1 -fPIC -shared '" + Src +
+                    "' -o '" + So + "' 2>'" + Dir + "/err.txt'";
+  int Rc = std::system(Cmd.c_str());
+  if (Rc == -1 || !WIFEXITED(Rc) || WEXITSTATUS(Rc) != 0)
+    GTEST_SKIP() << "cannot compile the hostile shim: " << Cmd;
+  std::string Error;
+  auto Lib = NativeMonitorLibrary::open(So, Checksum, Error);
+  ASSERT_TRUE(Lib) << Error;
+  auto Engine = makeNativeEngineFactory(Lib)(P, true);
+
+  // Lane 0 stays healthy; lane k sends misbehaviour k at t=2.
+  const std::vector<std::string> Expected = {
+      "",
+      "at t=2: native output index 7 is out of range (the program has 2 "
+      "outputs)",
+      "at t=2, stream 'y': native output: truncated value",
+      "at t=2, stream 'y': native output: 2 trailing bytes after the value",
+      "at t=2, stream 'z': native output: unknown value kind 9",
+      "at t=2, stream 'z': native output: expected Float, got Int",
+      "at t=2: native output index -1 is out of range (the program has 2 "
+      "outputs)",
+  };
+  for (unsigned L = 0; L != Expected.size(); ++L)
+    ASSERT_EQ(Engine->addLane(100 + L), L);
+  for (unsigned L = 0; L != Expected.size(); ++L) {
+    EXPECT_TRUE(Engine->feed(L, X, 1, Value::integer(0))) << L;
+    EXPECT_EQ(Engine->feed(L, X, 2, Value::integer(L)), L == 0) << L;
+    EXPECT_EQ(Engine->feed(L, X, 3, Value::integer(10)), L == 0) << L;
+  }
+  Engine->finishAll(std::nullopt);
+  for (unsigned L = 1; L != Expected.size(); ++L) {
+    EXPECT_TRUE(Engine->laneFailed(L)) << L;
+    EXPECT_EQ(Engine->laneError(L), Expected[L]) << L;
+  }
+
+  ASSERT_FALSE(Engine->laneFailed(0)) << Engine->laneError(0);
+  StreamId Y = *S.lookup("y"), Z = *S.lookup("z");
+  std::vector<OutputEvent> Healthy = Engine->takeLaneOutputs(0);
+  std::string Rendered;
+  for (const OutputEvent &E : Healthy) {
+    Rendered += formatEvent(S, E) + "\n";
+    EXPECT_EQ(E.V.kind(), E.Id == Y ? Value::Kind::Int : Value::Kind::Float);
+    EXPECT_TRUE(E.Id == Y || E.Id == Z);
+  }
+  EXPECT_EQ(Rendered, "1: y = 1\n1: z = 0\n2: y = 1\n2: z = 0\n"
+                      "3: y = 11\n3: z = 10\n");
 }
 
 #endif // !TESSLA_TSAN
