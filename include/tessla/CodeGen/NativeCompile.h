@@ -16,18 +16,54 @@
 /// compileNative() is hermetic and cached:
 ///
 ///   1. The Program is serialized (deterministic .tpb bytes) and
-///      checksummed (FNV-1a-64). The cache key mixes that checksum with
-///      the shim ABI version and the compiler + flags string, so a
-///      toolchain change never resurrects a stale binary.
-///   2. On a cache miss the shim translation unit is emitted into a
-///      fresh mkdtemp() directory, compiled there (-fPIC -shared), and
-///      the resulting .so is rename()d into the cache — concurrent
-///      builders race benignly toward identical bytes.
+///      checksummed (FNV-1a-64), and the shim translation unit is
+///      emitted once. The cache key mixes that checksum with the shim
+///      ABI version, the compiler + flags string, a hash of the emitted
+///      TU and a hash of the runtime-header closure (RuntimeSupport.h
+///      and every header it reaches through quoted `tessla/` includes),
+///      so neither a toolchain change nor an emitter or header edit
+///      ever resurrects a stale binary.
+///   2. On a cache miss the TU is written into a fresh mkdtemp()
+///      directory, compiled there (-fPIC -shared) against the
+///      precompiled runtime header below, and the resulting .so is
+///      rename()d into the cache — concurrent builders race benignly
+///      toward identical bytes.
 ///   3. The library is dlopen()ed and verified: tessla_native_abi()
 ///      must match NativeShimAbiVersion and tessla_native_checksum()
 ///      must match the Program's checksum. A cached file that fails
 ///      verification (corrupt, or copied from another program's slot)
 ///      is unlinked and rebuilt once.
+///
+/// ## Precompiled runtime header
+///
+/// Most of a monitor build is the compiler parsing the runtime-header
+/// closure, which is the same for every program. It is precompiled once
+/// into `<root>/pch-<key>/tessla/CodeGen/RuntimeSupport.h.gch` and every
+/// monitor build puts `-I<root>/pch-<key>` ahead of the include root, so
+/// g++ reads the .gch instead of the headers. The key hashes the compiler
+/// string, the base flags plus -DTESSLA_CGEN_FAIL_THROWS=1 (which the
+/// shim TU defines first), the extra flags and the header-closure bytes.
+///
+///   - <root> is $TESSLA_NATIVE_CACHE_DIR, else $TMPDIR/tessla-native-
+///     cache, and never NativeCompileOptions::CacheDir: the PCH depends
+///     on no program, and callers that build into a fresh CacheDir each
+///     time (the benchmark does) still find it.
+///   - It is built on first use in an mkdtemp() directory and published
+///     by rename(); of two concurrent builders the second keeps the copy
+///     already published.
+///   - If a build that used the PCH fails, it is retried once from the
+///     plain headers, and the PCH is deleted only if that retry passes:
+///     g++ skips a .gch it finds invalid but fails on one it cannot read
+///     (a truncated file), while a broken compiler or monitor fails both
+///     builds and leaves the PCH alone.
+///   - A PCH that cannot be built (a compiler that cannot precompile
+///     headers) only costs the speed-up: the monitor compiles from the
+///     plain headers, with the same diagnostics. Stale PCHs from older
+///     headers or compilers are not pruned.
+///   - The key names the compiler by its command string. After an
+///     in-place compiler upgrade g++ skips the old .gch as invalid, so
+///     builds stay correct but lose the speed-up until the cache root
+///     is cleared.
 ///
 /// Every failure — no compiler on PATH, compiler error, dlopen/verify
 /// failure — is reported as a diagnostic string so callers can fall
@@ -37,8 +73,9 @@
 ///
 ///   TESSLA_NATIVE_CXX        compiler to invoke (default: the compiler
 ///                            that built this library, then `c++`)
-///   TESSLA_NATIVE_CACHE_DIR  cache directory (default:
-///                            $TMPDIR/tessla-native-cache)
+///   TESSLA_NATIVE_CACHE_DIR  cache root: the default library cache and
+///                            the home of the precompiled runtime header
+///                            (default: $TMPDIR/tessla-native-cache)
 ///   TESSLA_NATIVE_INCLUDE    include root holding tessla/CodeGen/
 ///                            RuntimeSupport.h (default: baked in at
 ///                            build time)
@@ -83,11 +120,12 @@ struct NativeCompileOptions {
   /// Compiler executable; empty means $TESSLA_NATIVE_CXX, then the
   /// build-time default, then "c++".
   std::string Compiler;
-  /// Cache directory; empty means $TESSLA_NATIVE_CACHE_DIR, then
-  /// $TMPDIR/tessla-native-cache.
+  /// Directory for the compiled libraries; empty means
+  /// $TESSLA_NATIVE_CACHE_DIR, then $TMPDIR/tessla-native-cache. The
+  /// precompiled runtime header always lives in the latter.
   std::string CacheDir;
   /// Extra compiler flags, appended after the defaults (and salted into
-  /// the cache key).
+  /// the cache key and the precompiled header's key).
   std::string ExtraFlags;
   /// Rebuild even when the cache holds a verified binary.
   bool Force = false;
@@ -139,7 +177,9 @@ private:
 };
 
 /// The cache slot compileNative() would use for \p P under \p Opts —
-/// exposed so tests can plant stale or corrupt binaries.
+/// exposed so tests can plant stale or corrupt binaries. Empty when
+/// compileNative() would fail before reaching the cache (no runtime
+/// headers, or a program the C++ backend does not support).
 std::string nativeCachePathFor(const Program &P,
                                const NativeCompileOptions &Opts);
 

@@ -23,6 +23,7 @@
 #include "tessla/Support/Format.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -70,6 +71,12 @@ struct FailError {
   std::abort();
 }
 #endif
+
+/// A double from its IEEE-754 bit pattern: how the emitter spells folded
+/// non-finite Float constants, so their sign and NaN payload survive.
+constexpr double doubleFromBits(uint64_t Bits) {
+  return std::bit_cast<double>(Bits);
+}
 
 inline int64_t checkedDiv(int64_t A, int64_t B) {
   if (B == 0)

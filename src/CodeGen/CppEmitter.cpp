@@ -8,11 +8,28 @@
 
 #include "tessla/Support/Format.h"
 
+#include <bit>
 #include <cassert>
+#include <cmath>
 
 using namespace tessla;
 
 namespace {
+
+/// Renders a Float constant as a C++ double expression. C++ has no
+/// literal for a non-finite value, so those go through their 64-bit
+/// pattern, which keeps the sign and the NaN payload the interpreter
+/// folded (0.0 / 0.0 is -nan on x86).
+std::string floatLiteral(double D) {
+  if (!std::isfinite(D))
+    return formatString("tessla::cgen::doubleFromBits(0x%016llxULL)",
+                        static_cast<unsigned long long>(
+                            std::bit_cast<uint64_t>(D)));
+  std::string Text = formatDouble(D);
+  if (Text.find_first_of(".eE") == std::string::npos)
+    Text += ".0";
+  return Text;
+}
 
 /// One argument of an emitted lift body: the stream it stands for (type
 /// and mutability queries) plus the C++ expression that reads it — the
@@ -135,12 +152,7 @@ private:
       std::string operator()(int64_t I) const {
         return "int64_t{" + std::to_string(I) + "}";
       }
-      std::string operator()(double D) const {
-        std::string Text = formatDouble(D);
-        if (Text.find_first_of(".eE") == std::string::npos)
-          Text += ".0";
-        return Text;
-      }
+      std::string operator()(double D) const { return floatLiteral(D); }
       std::string operator()(const std::string &Str) const {
         return "std::string(\"" + escapeString(Str) + "\")";
       }
@@ -157,12 +169,8 @@ private:
       return V.getBool() ? "true" : "false";
     case Value::Kind::Int:
       return "int64_t{" + std::to_string(V.getInt()) + "}";
-    case Value::Kind::Float: {
-      std::string Text = formatDouble(V.getFloat());
-      if (Text.find_first_of(".eE") == std::string::npos)
-        Text += ".0";
-      return Text;
-    }
+    case Value::Kind::Float:
+      return floatLiteral(V.getFloat());
     case Value::Kind::String:
       return "std::string(\"" + escapeString(V.getString()) + "\")";
     default:

@@ -12,6 +12,7 @@
 #include "tessla/Runtime/RecordCheck.h"
 #include "tessla/Support/Format.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <dlfcn.h>
 #include <filesystem>
@@ -51,11 +52,74 @@ std::string includeDirFor() {
   return envOr("TESSLA_NATIVE_INCLUDE", TESSLA_NATIVE_INCLUDE_DIR);
 }
 
-std::string cacheDirFor(const NativeCompileOptions &Opts) {
-  if (!Opts.CacheDir.empty())
-    return Opts.CacheDir;
+/// Where programs' libraries go by default, and where the precompiled
+/// runtime header always goes: it depends on no program.
+std::string cacheRoot() {
   std::string Tmp = envOr("TMPDIR", "/tmp");
   return envOr("TESSLA_NATIVE_CACHE_DIR", Tmp + "/tessla-native-cache");
+}
+
+std::string cacheDirFor(const NativeCompileOptions &Opts) {
+  return Opts.CacheDir.empty() ? cacheRoot() : Opts.CacheDir;
+}
+
+/// Flags of every monitor build. The PCH is built with the same ones:
+/// g++ rejects a PCH whose -O/-f options differ from the build's.
+constexpr const char *BaseFlags = "-std=c++20 -O2 -fPIC";
+/// The shim TU #defines this ahead of its first #include, and g++ uses a
+/// PCH only if it saw the same definition.
+constexpr const char *ShimDefine = "-DTESSLA_CGEN_FAIL_THROWS=1";
+/// The header every generated monitor includes first, under the include
+/// root (and under a PCH directory, with ".gch" appended).
+constexpr const char *RuntimeHeader = "tessla/CodeGen/RuntimeSupport.h";
+
+uint64_t hashText(std::string_view Text) {
+  return tpbChecksum(reinterpret_cast<const uint8_t *>(Text.data()),
+                     Text.size());
+}
+
+std::string readWholeFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// The header a `#include "tessla/..."` line names, or "".
+std::string_view quotedTesslaInclude(std::string_view Line) {
+  constexpr std::string_view Directive = "#include \"";
+  size_t At = Line.find_first_not_of(" \t");
+  if (At == std::string_view::npos ||
+      Line.substr(At, Directive.size()) != Directive)
+    return {};
+  std::string_view Name = Line.substr(At + Directive.size());
+  Name = Name.substr(0, Name.find('"'));
+  return Name.starts_with("tessla/") ? Name : std::string_view();
+}
+
+/// FNV-1a-64 over the bytes of RuntimeSupport.h and of every header it
+/// reaches through quoted `tessla/` includes, each salted with its name.
+/// False if one of them cannot be read.
+bool hashHeaderClosure(const std::string &Inc, uint64_t &HashOut) {
+  std::vector<std::string> Names{RuntimeHeader};
+  std::string All;
+  std::error_code Ec;
+  for (size_t I = 0; I != Names.size(); ++I) {
+    std::string Path = Inc + "/" + Names[I];
+    if (!fs::is_regular_file(Path, Ec))
+      return false;
+    std::string Text = readWholeFile(Path);
+    All += formatString("%s|%zu|", Names[I].c_str(), Text.size()) + Text;
+    std::istringstream Lines(Text);
+    for (std::string Line; std::getline(Lines, Line);) {
+      std::string Name(quotedTesslaInclude(Line));
+      if (!Name.empty() &&
+          std::find(Names.begin(), Names.end(), Name) == Names.end())
+        Names.push_back(std::move(Name));
+    }
+  }
+  HashOut = hashText(All);
+  return true;
 }
 
 /// The Program checksum: FNV-1a-64 over the deterministic .tpb bytes —
@@ -65,23 +129,60 @@ uint64_t programChecksum(const Program &P) {
   return tpbChecksum(Bytes.data(), Bytes.size());
 }
 
-/// The cache key additionally salts in everything that changes the
-/// produced binary without changing the Program.
-uint64_t cacheKey(uint64_t Checksum, const NativeCompileOptions &Opts) {
-  std::string Salt = formatString("%llu|abi%lld|%s|%s",
-                                  static_cast<unsigned long long>(Checksum),
-                                  static_cast<long long>(NativeShimAbiVersion),
-                                  compilerFor(Opts).c_str(),
-                                  Opts.ExtraFlags.c_str());
-  return tpbChecksum(reinterpret_cast<const uint8_t *>(Salt.data()),
-                     Salt.size());
+/// What one native build consumes, worked out once per compileNative():
+/// the cache key and the build read the same bytes.
+struct BuildInputs {
+  uint64_t Checksum = 0;   // the Program's, stamped into the shim
+  std::string Source;      // the emitted shim translation unit
+  std::string Inc;         // include root holding RuntimeHeader
+  uint64_t HeaderHash = 0; // hashHeaderClosure(Inc)
+};
+
+bool prepareBuild(const Program &P, BuildInputs &In, std::string &ErrorOut) {
+  In.Inc = includeDirFor();
+  if (In.Inc.empty() || !hashHeaderClosure(In.Inc, In.HeaderHash)) {
+    ErrorOut = formatString(
+        "runtime-support headers not found under '%s' (set "
+        "TESSLA_NATIVE_INCLUDE to the repository's include/ directory)",
+        In.Inc.c_str());
+    return false;
+  }
+  In.Checksum = programChecksum(P);
+  CppEmitterOptions EmitOpts;
+  EmitOpts.ClassName = "TesslaNativeMonitor";
+  EmitOpts.EmitNativeShim = true;
+  EmitOpts.ShimChecksum = In.Checksum;
+  DiagnosticEngine Diags;
+  std::optional<std::string> Source = emitCppMonitor(P, EmitOpts, Diags);
+  if (!Source) {
+    ErrorOut = "the C++ backend does not support this program";
+    for (const Diagnostic &D : Diags.diagnostics())
+      ErrorOut += "; " + D.Message;
+    return false;
+  }
+  In.Source = std::move(*Source);
+  return true;
 }
 
-std::string cachePath(const Program &P, const NativeCompileOptions &Opts) {
+/// The cache key salts in everything that goes into the produced binary:
+/// the Program, the ABI, the compiler and flags, the emitted source and
+/// the runtime headers it includes.
+uint64_t cacheKey(const BuildInputs &In, const NativeCompileOptions &Opts) {
+  std::string Salt = formatString(
+      "%llu|abi%lld|%s|%s|%016llx|%016llx",
+      static_cast<unsigned long long>(In.Checksum),
+      static_cast<long long>(NativeShimAbiVersion), compilerFor(Opts).c_str(),
+      Opts.ExtraFlags.c_str(),
+      static_cast<unsigned long long>(hashText(In.Source)),
+      static_cast<unsigned long long>(In.HeaderHash));
+  return hashText(Salt);
+}
+
+std::string cachePath(const BuildInputs &In,
+                      const NativeCompileOptions &Opts) {
   return cacheDirFor(Opts) +
          formatString("/tessla-native-%016llx.so",
-                      static_cast<unsigned long long>(
-                          cacheKey(programChecksum(P), Opts)));
+                      static_cast<unsigned long long>(cacheKey(In, Opts)));
 }
 
 } // namespace
@@ -151,39 +252,68 @@ NativeMonitorLibrary::open(const std::string &Path, uint64_t WantChecksum,
 
 namespace {
 
-std::string readWholeFile(const std::string &Path) {
-  std::ifstream In(Path);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
+/// mkdtemp() on \p Template (ending in XXXXXX); "" on failure.
+std::string makeTempDir(const std::string &Template) {
+  std::vector<char> Dir(Template.begin(), Template.end());
+  Dir.push_back('\0');
+  return mkdtemp(Dir.data()) ? std::string(Dir.data()) : std::string();
 }
 
-/// Emit + compile into the cache slot. Returns true on success.
-bool buildInto(const Program &P, const NativeCompileOptions &Opts,
-               uint64_t Checksum, const std::string &Target,
-               std::string &ErrorOut) {
-  std::string Inc = includeDirFor();
-  if (Inc.empty() || !fs::exists(Inc + "/tessla/CodeGen/RuntimeSupport.h")) {
-    ErrorOut = formatString(
-        "runtime-support headers not found under '%s' (set "
-        "TESSLA_NATIVE_INCLUDE to the repository's include/ directory)",
-        Inc.c_str());
-    return false;
-  }
+/// Runs \p Cmd through the shell: its exit code, 127 when the command
+/// was not found, -1 when it did not exit normally.
+int runCommand(const std::string &Cmd) {
+  int Rc = std::system(Cmd.c_str());
+  return (Rc >= 0 && WIFEXITED(Rc)) ? WEXITSTATUS(Rc) : -1;
+}
 
-  CppEmitterOptions EmitOpts;
-  EmitOpts.ClassName = "TesslaNativeMonitor";
-  EmitOpts.EmitNativeShim = true;
-  EmitOpts.ShimChecksum = Checksum;
-  DiagnosticEngine Diags;
-  std::optional<std::string> Source = emitCppMonitor(P, EmitOpts, Diags);
-  if (!Source) {
-    ErrorOut = "the C++ backend does not support this program";
-    for (const Diagnostic &D : Diags.diagnostics())
-      ErrorOut += "; " + D.Message;
-    return false;
-  }
+std::string extraFlags(const NativeCompileOptions &Opts) {
+  return Opts.ExtraFlags.empty() ? "" : " " + Opts.ExtraFlags;
+}
 
+/// The directory that holds the precompiled RuntimeHeader for this
+/// compiler, these flags and these header bytes, built and published on
+/// first use; "" when it cannot be built, and the monitor then compiles
+/// from the plain header. Put ahead of the include root, it makes the
+/// compiler read RuntimeHeader's ".gch" instead of the header closure.
+std::string ensurePch(const BuildInputs &In,
+                      const NativeCompileOptions &Opts) {
+  std::string Cxx = compilerFor(Opts);
+  std::string Root = cacheRoot();
+  uint64_t Key = hashText(formatString(
+      "%s|%s %s|%s|%016llx", Cxx.c_str(), BaseFlags, ShimDefine,
+      Opts.ExtraFlags.c_str(), static_cast<unsigned long long>(In.HeaderHash)));
+  std::string Dir =
+      Root + formatString("/pch-%016llx", static_cast<unsigned long long>(Key));
+  std::string Gch = Dir + "/" + RuntimeHeader + ".gch";
+  std::error_code Ec;
+  if (fs::exists(Gch, Ec))
+    return Dir;
+
+  // Built in a scratch directory under the root and published by
+  // rename(), like the libraries; of two concurrent builders, the one
+  // that comes second keeps the copy already there.
+  fs::create_directories(Root, Ec);
+  std::string Work = makeTempDir(Root + "/pch-build-XXXXXX");
+  if (Work.empty())
+    return "";
+  std::string Built = Work + "/RuntimeSupport.h.gch";
+  std::string Cmd = Cxx + " " + BaseFlags + " " + ShimDefine +
+                    " -x c++-header -I'" + In.Inc + "' '" + In.Inc + "/" +
+                    RuntimeHeader + "' -o '" + Built + "'" + extraFlags(Opts) +
+                    " >/dev/null 2>&1";
+  if (runCommand(Cmd) == 0 && fs::exists(Built, Ec)) {
+    fs::create_directories(fs::path(Gch).parent_path(), Ec);
+    if (!Ec && !fs::exists(Gch, Ec))
+      fs::rename(Built, Gch, Ec);
+  }
+  fs::remove_all(Work, Ec);
+  return fs::exists(Gch, Ec) ? Dir : "";
+}
+
+/// Compiles the emitted source into the cache slot. Returns true on
+/// success.
+bool buildInto(const BuildInputs &In, const NativeCompileOptions &Opts,
+               const std::string &Target, std::string &ErrorOut) {
   std::error_code Ec;
   fs::create_directories(fs::path(Target).parent_path(), Ec);
   if (Ec) {
@@ -193,15 +323,12 @@ bool buildInto(const Program &P, const NativeCompileOptions &Opts,
 
   // Hermetic scratch directory next to the cache slot so the final
   // rename() stays on one filesystem (atomic publish).
-  std::string Template =
-      (fs::path(Target).parent_path() / "build-XXXXXX").string();
-  std::vector<char> Dir(Template.begin(), Template.end());
-  Dir.push_back('\0');
-  if (!mkdtemp(Dir.data())) {
+  std::string Work =
+      makeTempDir((fs::path(Target).parent_path() / "build-XXXXXX").string());
+  if (Work.empty()) {
     ErrorOut = "mkdtemp failed for the native build directory";
     return false;
   }
-  std::string Work(Dir.data());
   auto Cleanup = [&] { fs::remove_all(Work, Ec); };
 
   std::string Src = Work + "/monitor.cpp";
@@ -209,7 +336,7 @@ bool buildInto(const Program &P, const NativeCompileOptions &Opts,
   std::string ErrFile = Work + "/compile.err";
   {
     std::ofstream Out(Src);
-    Out << *Source;
+    Out << In.Source;
     if (!Out) {
       ErrorOut = "cannot write the generated source";
       Cleanup();
@@ -217,25 +344,33 @@ bool buildInto(const Program &P, const NativeCompileOptions &Opts,
     }
   }
 
-  std::string Cmd = compilerFor(Opts) +
-                    " -std=c++20 -O2 -fPIC -shared"
-                    " -I'" + Inc + "'"
-                    " '" + Src + "' -o '" + Obj + "'" +
-                    (Opts.ExtraFlags.empty() ? "" : " " + Opts.ExtraFlags) +
-                    " 2>'" + ErrFile + "'";
-  int Rc = std::system(Cmd.c_str());
-  int Exit = (Rc >= 0 && WIFEXITED(Rc)) ? WEXITSTATUS(Rc) : -1;
+  std::string Cxx = compilerFor(Opts);
+  auto Compile = [&](const std::string &PchDir) {
+    return runCommand(Cxx + " " + BaseFlags + " -shared" +
+                      (PchDir.empty() ? "" : " -I'" + PchDir + "'") +
+                      " -I'" + In.Inc + "' '" + Src + "' -o '" + Obj + "'" +
+                      extraFlags(Opts) + " 2>'" + ErrFile + "'");
+  };
+  std::string Pch = ensurePch(In, Opts);
+  int Exit = Compile(Pch);
+  if (Exit != 0 && !Pch.empty()) {
+    // g++ skips a PCH it finds invalid but fails on one it cannot read
+    // (a truncated .gch: "cannot read PCH file"). Retry from the plain
+    // header, and drop the PCH only if that build passes, so a broken
+    // compiler or monitor never costs it.
+    Exit = Compile("");
+    if (Exit == 0)
+      fs::remove(Pch + "/" + RuntimeHeader + ".gch", Ec);
+  }
   if (Exit != 0) {
     std::string Stderr = readWholeFile(ErrFile);
     if (Stderr.size() > 800)
       Stderr = Stderr.substr(0, 800) + "...";
     if (Exit == 127)
-      ErrorOut = formatString("native compiler '%s' not found",
-                              compilerFor(Opts).c_str());
+      ErrorOut = formatString("native compiler '%s' not found", Cxx.c_str());
     else
       ErrorOut = formatString("native compiler '%s' failed (exit %d): %s",
-                              compilerFor(Opts).c_str(), Exit,
-                              Stderr.c_str());
+                              Cxx.c_str(), Exit, Stderr.c_str());
     Cleanup();
     return false;
   }
@@ -484,19 +619,23 @@ NativeMonitorLibrary::~NativeMonitorLibrary() {
 
 std::string tessla::nativeCachePathFor(const Program &P,
                                        const NativeCompileOptions &Opts) {
-  return cachePath(P, Opts);
+  BuildInputs In;
+  std::string Error;
+  return prepareBuild(P, In, Error) ? cachePath(In, Opts) : std::string();
 }
 
 std::shared_ptr<NativeMonitorLibrary>
 tessla::compileNative(const Program &P, const NativeCompileOptions &Opts,
                       std::string &ErrorOut) {
   ErrorOut.clear();
-  uint64_t Checksum = programChecksum(P);
-  std::string Target = cachePath(P, Opts);
+  BuildInputs In;
+  if (!prepareBuild(P, In, ErrorOut))
+    return nullptr;
+  std::string Target = cachePath(In, Opts);
 
   if (!Opts.Force && fs::exists(Target)) {
     std::string CacheErr;
-    if (auto Lib = NativeMonitorLibrary::open(Target, Checksum, CacheErr))
+    if (auto Lib = NativeMonitorLibrary::open(Target, In.Checksum, CacheErr))
       return Lib;
     // Stale or corrupt cache entry (failed dlopen, wrong stamp): drop
     // it and rebuild once.
@@ -504,9 +643,9 @@ tessla::compileNative(const Program &P, const NativeCompileOptions &Opts,
     fs::remove(Target, Ec);
   }
 
-  if (!buildInto(P, Opts, Checksum, Target, ErrorOut))
+  if (!buildInto(In, Opts, Target, ErrorOut))
     return nullptr;
-  auto Lib = NativeMonitorLibrary::open(Target, Checksum, ErrorOut);
+  auto Lib = NativeMonitorLibrary::open(Target, In.Checksum, ErrorOut);
   if (!Lib)
     ErrorOut = "freshly built native library is unusable: " + ErrorOut;
   return Lib;

@@ -201,7 +201,9 @@ TEST(CodegenParityTest, OptimizedWorkloads) {
   // the emitter (ConstTick on mapWindow/queueWindow, FusedLastLift and
   // FusedLiftLift on all three). The fourth spec refreshes its family's
   // last only when the filter passes the update; whenever it drops one,
-  // every tier must still read the set from before it.
+  // every tier must still read the set from before it. The fifth folds
+  // non-finite Float constants, which C++ has no literal for: inf, -inf
+  // and the -nan that 0.0 / 0.0 gives on x86 must keep their bits.
   uint64_t Seed = 400;
   for (const Spec &S : {seenSet(), mapWindow(4), queueWindow(4),
                         parseOrDie(R"(
@@ -211,6 +213,24 @@ TEST(CodegenParityTest, OptimizedWorkloads) {
                           def f := filter(y, x > 5)
                           def n := setSize(prev)
                           out n
+                        )"),
+                        parseOrDie(R"(
+                          in x: Int
+                          def pinf := 1.0 / 0.0
+                          def ninf := -1.0 / 0.0
+                          def qnan := 0.0 / 0.0
+                          def hp := merge(last(hp, x), pinf)
+                          def hn := merge(last(hn, x), ninf)
+                          def hq := merge(last(hq, x), qnan)
+                          def y := toFloat(x) + hp
+                          def z := toFloat(x) * hn
+                          def w := toFloat(x) + hq
+                          out y
+                          out z
+                          out w
+                          out pinf
+                          out ninf
+                          out qnan
                         )")}) {
     auto Events =
         tracegen::randomInts(*S.lookup("x"), 400, 13, ++Seed);

@@ -10,7 +10,9 @@
 /// BatchedDifferentialTest and CodegenParityTest; this file proves the
 /// edges the corpus cannot reach: a missing or broken system compiler
 /// degrades to a diagnostic (never a crash), a stale or foreign cache
-/// entry is rebuilt rather than trusted, the fleet falls back to the
+/// entry is rebuilt rather than trusted, an edit to any runtime header
+/// changes the cache key, the precompiled runtime header is used, built
+/// once and survives corruption, the fleet falls back to the
 /// interpreter when Native mode has no factory, and engines keep the
 /// dlopen()d library alive for as long as any lane can still execute
 /// code from it (the CI job runs this under ASan, so a dlclose ordering
@@ -31,13 +33,17 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <vector>
 
 using namespace tessla;
 using namespace tessla::testspecs;
+namespace fs = std::filesystem;
 
 // Like everywhere else, the native tier stays off the TSan axis: the
 // shared object carries no instrumentation.
@@ -92,6 +98,61 @@ std::string engineOutput(ShardEngine &Engine,
   return formatOutputs(S, Outputs);
 }
 
+/// Sets an environment variable for one scope.
+class ScopedEnv {
+public:
+  ScopedEnv(const char *Name, const std::string &Value) : Name(Name) {
+    if (const char *Old = std::getenv(Name))
+      Saved = Old;
+    ::setenv(Name, Value.c_str(), 1);
+  }
+  ~ScopedEnv() {
+    if (Saved)
+      ::setenv(Name, Saved->c_str(), 1);
+    else
+      ::unsetenv(Name);
+  }
+  ScopedEnv(const ScopedEnv &) = delete;
+  ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+private:
+  const char *Name;
+  std::optional<std::string> Saved;
+};
+
+/// A fresh native cache root for one test, removed with it: the
+/// precompiled runtime header it builds never touches the shared one.
+struct PrivateCacheRoot {
+  explicit PrivateCacheRoot(const char *Tag)
+      : Dir(freshDir(Tag)), Env("TESSLA_NATIVE_CACHE_DIR", Dir) {}
+  ~PrivateCacheRoot() {
+    std::error_code Ec;
+    fs::remove_all(Dir, Ec);
+  }
+  std::string Dir;
+  ScopedEnv Env;
+};
+
+/// Names in \p Dir starting with "pch-": published PCH directories and
+/// leftover PCH build directories alike.
+std::vector<std::string> pchEntries(const std::string &Dir) {
+  std::vector<std::string> Names;
+  std::error_code Ec;
+  for (const auto &E : fs::directory_iterator(Dir, Ec))
+    if (E.path().filename().string().starts_with("pch-"))
+      Names.push_back(E.path().filename().string());
+  return Names;
+}
+
+/// The one precompiled RuntimeSupport.h published under \p Root.
+std::string onlyPch(const std::string &Root) {
+  std::vector<std::string> Names = pchEntries(Root);
+  EXPECT_EQ(Names.size(), 1u);
+  return Names.empty() ? std::string()
+                       : Root + "/" + Names.front() +
+                             "/tessla/CodeGen/RuntimeSupport.h.gch";
+}
+
 /// The value's codec bytes: equal bytes mean the same kind and the same
 /// bits (a Float's sign and NaN payload included).
 std::vector<uint8_t> codecBytes(const Value &V) {
@@ -103,16 +164,18 @@ std::vector<uint8_t> codecBytes(const Value &V) {
 } // namespace
 
 TEST(NativeEngineTest, MissingCompilerReportsDiagnostic) {
+  PrivateCacheRoot Root("missing_root");
   Program P = simpleProgram();
   NativeCompileOptions Opts;
   Opts.Compiler = "/nonexistent/tessla-missing-cxx";
   Opts.CacheDir = freshDir("missing");
   std::string Error;
   EXPECT_EQ(compileNative(P, Opts, Error), nullptr);
-  EXPECT_NE(Error.find("not found"), std::string::npos) << Error;
-  EXPECT_NE(Error.find("/nonexistent/tessla-missing-cxx"),
-            std::string::npos)
-      << Error;
+  // The failed PCH attempt neither shows in the diagnostic nor leaves a
+  // directory behind.
+  EXPECT_EQ(Error,
+            "native compiler '/nonexistent/tessla-missing-cxx' not found");
+  EXPECT_TRUE(pchEntries(Root.Dir).empty());
 
   // The factory convenience degrades the same way: empty factory plus
   // the diagnostic, so callers can fall back to the interpreter.
@@ -131,15 +194,17 @@ TEST(NativeEngineTest, BrokenCompilerDiagnosticCarriesStderr) {
   }
   ASSERT_EQ(::chmod(Fake.c_str(), 0755), 0);
 
+  PrivateCacheRoot Root("broken_root");
   Program P = simpleProgram();
   NativeCompileOptions Opts;
   Opts.Compiler = Fake;
   Opts.CacheDir = Dir;
   std::string Error;
   EXPECT_EQ(compileNative(P, Opts, Error), nullptr);
-  EXPECT_NE(Error.find("failed"), std::string::npos) << Error;
-  EXPECT_NE(Error.find("synthetic frontend explosion"), std::string::npos)
-      << "compiler stderr must reach the diagnostic: " << Error;
+  EXPECT_EQ(Error, "native compiler '" + Fake +
+                       "' failed (exit 1): synthetic frontend explosion\n")
+      << "compiler stderr must reach the diagnostic";
+  EXPECT_TRUE(pchEntries(Root.Dir).empty());
 }
 
 #if !TESSLA_TSAN
@@ -219,6 +284,139 @@ TEST(NativeEngineTest, CacheHitAndForceRebuild) {
   auto Forced = compileNative(P, Opts, Error);
   ASSERT_TRUE(Forced) << Error;
   EXPECT_EQ(Forced->checksum(), First->checksum());
+}
+
+// The cache key covers the bytes of every runtime header the monitor
+// includes, not only RuntimeSupport.h: an edit to Format.h (included by
+// RuntimeSupport.h) must move the slot and rebuild, never serve the
+// library built before it, and so must one to RefCntPtr.h, which only
+// Queue.h -> List.h reach.
+TEST(NativeEngineTest, CacheKeyCoversTransitiveRuntimeHeaders) {
+  PrivateCacheRoot Root("header_key");
+  std::string Inc = Root.Dir + "/include";
+  fs::copy(TESSLA_INCLUDE_DIR, Inc, fs::copy_options::recursive);
+  ScopedEnv IncEnv("TESSLA_NATIVE_INCLUDE", Inc);
+  Program P = simpleProgram();
+  std::vector<TraceEvent> Events = simpleTrace(P.spec());
+  std::string Error;
+  std::string Expected =
+      formatOutputs(P.spec(), runMonitor(P, Events, std::nullopt, &Error));
+  ASSERT_EQ(Error, "");
+
+  NativeCompileOptions Opts;
+  Opts.CacheDir = Root.Dir + "/libs";
+  auto First = compileNative(P, Opts, Error);
+  ASSERT_TRUE(First) << Error;
+  std::string Before = nativeCachePathFor(P, Opts);
+  EXPECT_EQ(First->path(), Before);
+  First.reset();
+
+  {
+    std::ofstream Out(Inc + "/tessla/Support/Format.h", std::ios::app);
+    Out << "// reached only through RuntimeSupport.h\n";
+  }
+  std::string After = nativeCachePathFor(P, Opts);
+  EXPECT_NE(After, Before);
+  EXPECT_FALSE(fs::exists(After));
+  auto Second = compileNative(P, Opts, Error);
+  ASSERT_TRUE(Second) << Error;
+  EXPECT_EQ(Second->path(), After);
+  EXPECT_TRUE(fs::exists(After));
+  auto Engine = makeNativeEngineFactory(Second)(P, true);
+  EXPECT_EQ(engineOutput(*Engine, Events, P.spec()), Expected);
+
+  {
+    std::ofstream Out(Inc + "/tessla/ADT/RefCntPtr.h", std::ios::app);
+    Out << "// reached only through Queue.h and List.h\n";
+  }
+  std::string Deeper = nativeCachePathFor(P, Opts);
+  EXPECT_NE(Deeper, After);
+  EXPECT_NE(Deeper, Before);
+}
+
+// The PCH tests build with the compiler the tests were built with, which
+// precompiles headers; $TESSLA_NATIVE_CXX may name one that cannot, and
+// the other tests then check that the plain build still works.
+
+// The monitor build reads the precompiled RuntimeSupport.h: g++'s -H
+// marks a PCH it used with "! <path>.gch".
+TEST(NativeEngineTest, PrecompiledRuntimeHeaderIsUsed) {
+  PrivateCacheRoot Root("pch_used");
+  std::string Log = Root.Dir + "/includes.log";
+  std::string Wrapper = Root.Dir + "/cxx-with-H";
+  {
+    std::ofstream Out(Wrapper);
+    Out << "#!/bin/sh\nexec " << TESSLA_TEST_CXX << " -H \"$@\" 2>>'" << Log
+        << "'\n";
+  }
+  ASSERT_EQ(::chmod(Wrapper.c_str(), 0755), 0);
+  Program P = simpleProgram();
+  NativeCompileOptions Opts;
+  Opts.Compiler = Wrapper;
+  Opts.CacheDir = Root.Dir + "/libs";
+  std::string Error;
+  auto Lib = compileNative(P, Opts, Error);
+  ASSERT_TRUE(Lib) << Error;
+
+  std::string Used = "! " + onlyPch(Root.Dir);
+  std::ifstream In(Log);
+  bool Found = false;
+  for (std::string Line; std::getline(In, Line);)
+    Found |= Line == Used;
+  EXPECT_TRUE(Found) << "no '" << Used << "' line in " << Log;
+}
+
+// The PCH depends on no program: a build for another cache directory
+// reuses it instead of precompiling the header again.
+TEST(NativeEngineTest, PrecompiledRuntimeHeaderIsBuiltOnce) {
+  PrivateCacheRoot Root("pch_once");
+  Program P = simpleProgram();
+  NativeCompileOptions Opts;
+  Opts.Compiler = TESSLA_TEST_CXX;
+  Opts.CacheDir = Root.Dir + "/libs-a";
+  std::string Error;
+  ASSERT_TRUE(compileNative(P, Opts, Error)) << Error;
+  std::string Gch = onlyPch(Root.Dir);
+  ASSERT_TRUE(fs::exists(Gch));
+  fs::file_time_type Built = fs::last_write_time(Gch);
+
+  Opts.CacheDir = Root.Dir + "/libs-b";
+  auto Lib = compileNative(P, Opts, Error);
+  ASSERT_TRUE(Lib) << Error;
+  EXPECT_EQ(Lib->path().rfind(Opts.CacheDir, 0), 0u) << Lib->path();
+  EXPECT_EQ(onlyPch(Root.Dir), Gch);
+  EXPECT_EQ(fs::last_write_time(Gch), Built);
+}
+
+// g++ fails outright on a truncated .gch ("cannot read PCH file"). The
+// build retries from the plain header and drops the broken PCH, so the
+// next build precompiles it afresh.
+TEST(NativeEngineTest, TruncatedPrecompiledHeaderFallsBackToPlainBuild) {
+  PrivateCacheRoot Root("pch_truncated");
+  Program P = simpleProgram();
+  std::vector<TraceEvent> Events = simpleTrace(P.spec());
+  std::string Error;
+  std::string Expected =
+      formatOutputs(P.spec(), runMonitor(P, Events, std::nullopt, &Error));
+  ASSERT_EQ(Error, "");
+
+  NativeCompileOptions Opts;
+  Opts.Compiler = TESSLA_TEST_CXX;
+  Opts.CacheDir = Root.Dir + "/libs-a";
+  ASSERT_TRUE(compileNative(P, Opts, Error)) << Error;
+  std::string Gch = onlyPch(Root.Dir);
+  fs::resize_file(Gch, 4096);
+
+  Opts.CacheDir = Root.Dir + "/libs-b";
+  auto Lib = compileNative(P, Opts, Error);
+  ASSERT_TRUE(Lib) << Error;
+  auto Engine = makeNativeEngineFactory(Lib)(P, true);
+  EXPECT_EQ(engineOutput(*Engine, Events, P.spec()), Expected);
+  EXPECT_FALSE(fs::exists(Gch));
+
+  Opts.CacheDir = Root.Dir + "/libs-c";
+  ASSERT_TRUE(compileNative(P, Opts, Error)) << Error;
+  EXPECT_GT(fs::file_size(Gch), 4096u);
 }
 
 // The dlclose ordering contract: a ShardEngine (and through it the

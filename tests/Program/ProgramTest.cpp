@@ -83,9 +83,11 @@ out m
     if (P.spec().stream(Id).Kind == StreamKind::Nil)
       Nil = Id;
   EXPECT_EQ(P.valueSlot(Nil), P.numValueSlots());
-  for (const ProgramStep &Step : P.steps())
-    if (Step.Op != Opcode::Skip)
+  for (const ProgramStep &Step : P.steps()) {
+    if (Step.Op != Opcode::Skip) {
       EXPECT_NE(Step.Dst, P.numValueSlots());
+    }
+  }
 }
 
 TEST(ProgramTest, DispatchIsPreResolved) {

@@ -214,12 +214,13 @@ TEST(WireTest, EveryBitFlipIsContained) {
       FrameDecoder D;
       D.append(Flipped.data(), Flipped.size());
       auto F = D.next();
-      if (F)
+      if (F) {
         EXPECT_EQ(F->Payload, Original)
             << "bit " << Bit << " at offset " << Off
             << " let a corrupted payload through";
-      else if (D.failed())
+      } else if (D.failed()) {
         EXPECT_FALSE(D.error().empty()) << "silent poison at " << Off;
+      }
     }
   }
 }
